@@ -291,7 +291,8 @@ func printPlan(out io.Writer, cfg loadgen.Config, k loadgen.Knobs, targetP99 flo
 }
 
 // runLive replays the schedule against a real in-process server: trained
-// state from the knowledge file, serve.Config mirroring the model knobs,
+// state from the knowledge file, serve.Config mirroring the model knobs
+// (all but the batch size: serve answers each task when it finishes),
 // wall-clock latencies (outside the determinism contract).
 func runLive(f *Factory, out io.Writer, cfg loadgen.Config, knobs loadgen.Knobs, knowledgeFile string, seed uint64, timeScale float64) error {
 	sys, err := core.New(core.Config{Seed: seed}, cloud.Catalog120())
@@ -312,7 +313,6 @@ func runLive(f *Factory, out io.Writer, cfg loadgen.Config, knobs loadgen.Knobs,
 	}
 	srv, err := serve.New(snap, serve.Config{
 		QueueSize:     knobs.QueueDepth,
-		BatchSize:     knobs.BatchSize,
 		Workers:       knobs.Workers,
 		ShedThreshold: knobs.ShedThreshold,
 		CacheSize:     knobs.CacheSize,
@@ -342,7 +342,7 @@ func runLive(f *Factory, out io.Writer, cfg loadgen.Config, knobs loadgen.Knobs,
 	fmt.Fprintf(out, "wall-clock latency ms: p50 %.2f, p90 %.2f, p99 %.2f, p99.9 %.2f\n",
 		sum.P50, sum.P90, sum.P99, sum.P999)
 	st := rep.Stats
-	fmt.Fprintf(out, "server stats: %d requests, %d hits (%.2f), %d shed, %d queue rejects, %d batches (max %d), epoch %d\n",
+	fmt.Fprintf(out, "server stats: %d requests, %d hits (%.2f), %d shed, %d queue rejects, %d dispatched (peak %d running), epoch %d\n",
 		st.Requests, st.CacheHits, st.HitRate, st.Shed, st.QueueRejects, st.Batches, st.MaxBatch, st.Epoch)
 	return nil
 }

@@ -38,10 +38,9 @@ func cmdServe(f *Factory, args []string) error {
 	knowledgeFile := fs.String("knowledge", "knowledge.json", "knowledge file from 'vesta profile'")
 	addr := fs.String("addr", "127.0.0.1:8372", "listen address")
 	seed := fs.Uint64("seed", 1, "snapshot seed (drives the online rng of every prediction)")
-	workers := fs.Int("workers", 0, "worker pool size per batch (0 = one per CPU); responses are identical at every value")
+	workers := fs.Int("workers", 0, "number of workers computing uncached predictions (0 = one per CPU); responses are identical at every value")
 	queue := fs.Int("queue", 256, "admission queue capacity (full queue answers 503 with Retry-After)")
 	shedThreshold := fs.Float64("shed-threshold", 0, "shed best-effort requests (priority >= 1) once queue occupancy reaches this fraction of -queue (0 disables)")
-	batch := fs.Int("batch", 16, "max requests drained into one parallel batch")
 	cacheSize := fs.Int("cache", 1024, "LRU response cache entries (0 = default, use -no-cache to disable)")
 	noCache := fs.Bool("no-cache", false, "disable the response cache")
 	cold := fs.Bool("cold", false, "serve through the historical cold CMF solve instead of the precomputed-plan fast path")
@@ -56,7 +55,7 @@ func cmdServe(f *Factory, args []string) error {
 	longPoll := fs.Duration("long-poll", 25*time.Second, "push-style frame streaming: followers park a GET /replicate/frames?wait=D this long and the leader releases them on append, cutting follower lag from the poll interval to ~RTT; 0 falls back to -sync-interval polling. As leader, also the server-side cap on client wait budgets")
 	rolloutCtl := fs.Bool("rollout", false, "mount the POST /rollout/{stage,commit,revert} + GET /rollout/status control plane so a 'vesta rollout' coordinator can drive staged upgrades of this node")
 	tracePath := fs.String("trace", "", "write deterministic trace records to this JSONL file on shutdown")
-	verbose := fs.Bool("v", false, "stream verbose progress (batch shapes, wall timings) to stderr")
+	verbose := fs.Bool("v", false, "stream verbose progress (trace spans, wall timings) to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -128,7 +127,6 @@ func cmdServe(f *Factory, args []string) error {
 		Workers:          *workers,
 		QueueSize:        *queue,
 		ShedThreshold:    *shedThreshold,
-		BatchSize:        *batch,
 		CacheSize:        *cacheSize,
 		NoCache:          *noCache,
 		ColdStart:        *cold,

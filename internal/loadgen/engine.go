@@ -24,12 +24,14 @@ const (
 )
 
 // Knobs are the admission-control parameters the tuner sweeps — the model
-// twins of serve.Config{QueueSize, BatchSize, Workers, ShedThreshold} plus
-// the client deadline.
+// twins of serve.Config{QueueSize, Workers, ShedThreshold} plus the modeled
+// batch size and the client deadline.
 type Knobs struct {
 	// QueueDepth bounds the admission queue (serve.Config.QueueSize).
 	QueueDepth int `json:"queue_depth"`
-	// BatchSize bounds one dispatch batch (serve.Config.BatchSize).
+	// BatchSize bounds one modeled dispatch batch. serve itself does not
+	// batch (each task is answered when it finishes, DESIGN.md §10), so the
+	// model's batch-synchronous delivery overstates burst latency.
 	BatchSize int `json:"batch_size"`
 	// Workers is the modeled per-node worker pool a batch fans out on.
 	Workers int `json:"workers"`
@@ -183,7 +185,8 @@ func (c *modelLRU) put(k cacheKey) {
 // engine is the virtual-time discrete-event model of the serve admission
 // pipeline: bounded FIFO queue, one dispatcher forming batches of up to
 // BatchSize and running each batch to completion on Workers workers (the
-// next batch starts when the previous finishes — the serve.dispatch loop),
+// next batch starts when the previous finishes; serve itself answers each
+// task when it finishes, DESIGN.md §15),
 // response cache with epoch-keyed invalidation, priority shed, and client
 // deadlines. The model deliberately omits singleflight coalescing: every
 // miss charges a full solve, so its capacity numbers are conservative under

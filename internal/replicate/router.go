@@ -421,6 +421,11 @@ func (r *Router) predict(w http.ResponseWriter, req *http.Request) {
 			break
 		}
 		status, ctype, respBody, err := r.forward(req.Context(), b, body)
+		if err != nil && req.Context().Err() != nil {
+			// The client gave up: the failure says nothing about the
+			// backend, and a retry would fail the same way on the next one.
+			return
+		}
 		if err != nil || status >= http.StatusInternalServerError {
 			// Connection failure or backend-side failure: the prober will
 			// readmit the backend when it recovers.

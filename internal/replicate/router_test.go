@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -267,6 +268,70 @@ func TestRouterRejectsStaleResponse(t *testing.T) {
 	}
 	if liar.hits.Load() > 0 && r.Stats().StaleSkips == 0 {
 		t.Fatal("stale responses not counted")
+	}
+}
+
+func TestRouterClientCancelKeepsBackendsHealthy(t *testing.T) {
+	// A client that gives up mid-request fails the forward with its own
+	// canceled context. That says nothing about the backend: no backend may
+	// be ejected, no failover counted, and the next request must succeed.
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	slow := func(who string) http.Handler {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, `{"status":"ok","epoch":1}`)
+		})
+		mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+			fmt.Fprintf(w, `{"epoch":1,"who":%q}`, who)
+		})
+		return mux
+	}
+	tsA := httptest.NewServer(slow("a"))
+	tsB := httptest.NewServer(slow("b"))
+	t.Cleanup(tsA.Close)
+	t.Cleanup(tsB.Close)
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(open) // LIFO: unblock handlers before the servers close
+	r := newTestRouter(t, tsA.URL, tsB.URL)
+	if healthy := r.ProbeAll(); healthy != 2 {
+		t.Fatalf("healthy = %d, want 2", healthy)
+	}
+	h := r.Handler()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"app":"x"}`)).WithContext(ctx)
+	served := make(chan struct{})
+	go func() {
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		close(served)
+	}()
+	<-entered
+	cancel()
+	<-served
+
+	st := r.Stats()
+	for _, b := range st.Backends {
+		if !b.Healthy {
+			t.Fatalf("backend %s ejected by a client cancel: %+v", b.URL, st)
+		}
+	}
+	if st.Failovers != 0 || st.Exhausted != 0 {
+		t.Fatalf("client cancel counted as backend failure: %+v", st)
+	}
+	open()
+	if status, _, resp := postPredict(t, h, `{"app":"x"}`); status != http.StatusOK {
+		t.Fatalf("next request: status %d: %s", status, resp)
 	}
 }
 

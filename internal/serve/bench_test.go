@@ -8,12 +8,11 @@ import (
 
 // benchServe measures end-to-end request throughput at a given worker count
 // under an arbitrary serving configuration; results/serve.md is produced
-// from this benchmark. Workers/queue/batch are fixed here so arms differ
-// only in the fields the arm is about (cache, cold/warm/approx, memoization).
+// from this benchmark. Workers and queue are fixed here so arms differ only
+// in the fields the arm is about (cache, cold/warm/approx, memoization).
 func benchServe(b *testing.B, workers int, cfg Config) {
 	cfg.Workers = workers
 	cfg.QueueSize = 1024
-	cfg.BatchSize = 32
 	s, err := New(testSnapshot(b), cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -41,12 +40,12 @@ func benchServe(b *testing.B, workers int, cfg Config) {
 	st := s.Stats()
 	if st.Requests > 0 {
 		b.ReportMetric(st.HitRate, "hit-rate")
-		b.ReportMetric(float64(st.MaxBatch), "max-batch")
+		b.ReportMetric(float64(st.MaxBatch), "peak-running")
 	}
 }
 
 // Cached arms measure steady-state traffic (repeated queries, high hit
-// rate); NoCache arms expose the raw compute scaling of the batch pool.
+// rate); NoCache arms expose the raw compute scaling of the worker pool.
 func BenchmarkServeWorkers1(b *testing.B)         { benchServe(b, 1, Config{}) }
 func BenchmarkServeWorkers4(b *testing.B)         { benchServe(b, 4, Config{}) }
 func BenchmarkServeWorkers16(b *testing.B)        { benchServe(b, 16, Config{}) }

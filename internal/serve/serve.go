@@ -9,12 +9,15 @@
 //     snapshot copy-on-write and hot-swap the pointer; in-flight predictions
 //     keep the snapshot they captured, so readers never block on writers and
 //     never observe a half-published state.
-//   - Admission goes through a bounded queue. A dispatcher drains the queue
-//     into batches and fans each batch out on the internal/parallel worker
-//     pool — the same PredictBatch-shaped execution the offline paths use.
-//     A full queue rejects immediately with ErrQueueFull (backpressure
-//     instead of unbounded buffering); a draining server rejects with
-//     ErrShuttingDown.
+//   - Admission goes through a bounded queue served by a fixed pool of
+//     long-lived workers (parallel.Resolve(Config.Workers)). Each worker
+//     takes one task at a time and answers it the moment it is computed, so
+//     no request waits for another and no worker idles behind a straggler.
+//     A worker computes against the snapshot current when it takes the task
+//     and recomputes once if a publish lands meanwhile, which keeps the
+//     epochs a node answers with monotonic. A full queue rejects immediately
+//     with ErrQueueFull (backpressure instead of unbounded buffering); a
+//     draining server rejects with ErrShuttingDown.
 //   - A fixed-capacity LRU cache keyed by (snapshot epoch, request
 //     fingerprint) short-circuits repeated queries past the CMF solve. The
 //     epoch in the key makes hot-swaps self-invalidating. Hits are answered
@@ -34,7 +37,7 @@
 //     absorbed workload instead of re-profiling it.
 //
 // Determinism contract: the response body is a pure function of (snapshot,
-// request). Worker count, batch formation, cache state, and concurrent
+// request). Worker count, completion order, cache state, and concurrent
 // hot-swaps can change *which* snapshot a request sees and how fast it is
 // answered, but never the bytes produced for a given (snapshot, request)
 // pair — the serving extension of the repo's offline bit-identical contract.
@@ -121,8 +124,8 @@ type CheckpointInstaller interface {
 
 // Config tunes the server. Zero values take the defaults noted per field.
 type Config struct {
-	// Workers bounds the parallel pool a batch fans out on (<= 0: one per
-	// CPU). Response bytes are identical at every value.
+	// Workers is the number of long-lived workers executing queued misses
+	// (<= 0: one per CPU). Response bytes are identical at every value.
 	Workers int
 	// QueueSize bounds the admission queue; default 256.
 	QueueSize int
@@ -133,8 +136,8 @@ type Config struct {
 	// (every request competes for the full queue); values outside [0, 1]
 	// are rejected by New.
 	ShedThreshold float64
-	// BatchSize bounds how many queued requests one dispatch drains into a
-	// single parallel batch; default 16.
+	// BatchSize is ignored: each worker answers one task at a time. Kept so
+	// existing callers compile.
 	BatchSize int
 	// CacheSize is the LRU response-cache capacity in entries; default 1024.
 	// NoCache disables caching entirely (the cache-off arm of the
@@ -169,8 +172,8 @@ type Config struct {
 	// responses a pure function of (snapshot, request).
 	MeterFor func(seed uint64) oracle.Service
 	// Tracer receives serving counters (requests, cache hits, swaps) and
-	// Max aggregates (snapshot epoch, peak batch size). Live concurrent
-	// traffic makes batch formation and cache hits schedule-dependent, so a
+	// Max aggregates (snapshot epoch, peak tasks executing). Live concurrent
+	// traffic makes worker overlap and cache hits schedule-dependent, so a
 	// serving trace is only byte-reproducible for sequential replays; the
 	// response bodies are always reproducible.
 	Tracer *obs.Tracer
@@ -200,9 +203,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 1024
@@ -267,7 +267,7 @@ type RankEntry struct {
 // Response is the serialized prediction outcome. Every field is a pure
 // function of (snapshot, request); in particular Epoch and Workloads form
 // the snapshot-consistency token (see core.Snapshot.Workloads), and nothing
-// schedule-dependent (cache state, batch shape, queue depth) is included.
+// schedule-dependent (cache state, completion order, queue depth) is included.
 type Response struct {
 	Target    string `json:"target"`
 	Epoch     uint64 `json:"epoch"`
@@ -306,13 +306,20 @@ type Stats struct {
 	// Shed counts best-effort requests refused by the priority shed gate
 	// (Config.ShedThreshold) — disjoint from QueueRejects, which counts hard
 	// queue-full rejections.
-	Shed      int64  `json:"shed"`
-	Batches   int64  `json:"batches"`
-	MaxBatch  int64  `json:"max_batch"`
-	Canceled  int64  `json:"canceled"`
-	Swaps     int64  `json:"swaps"`
-	Epoch     uint64 `json:"epoch"`
-	Workloads int    `json:"workloads"`
+	Shed int64 `json:"shed"`
+	// Batches counts tasks the workers took from the queue (cache hits
+	// answered at admission never reach it). MaxBatch is the peak number of
+	// tasks executing at once, at most Config.Workers. The JSON names
+	// predate per-task dispatch.
+	Batches  int64 `json:"batches"`
+	MaxBatch int64 `json:"max_batch"`
+	// Superseded counts misses recomputed because a publish landed while
+	// they were computing. A recompute is not a second miss.
+	Superseded int64  `json:"superseded"`
+	Canceled   int64  `json:"canceled"`
+	Swaps      int64  `json:"swaps"`
+	Epoch      uint64 `json:"epoch"`
+	Workloads  int    `json:"workloads"`
 	// CatalogVersion is the published snapshot's catalog version;
 	// CatalogUpdates counts catalog updates absorbed this session.
 	CatalogVersion uint64 `json:"catalog_version"`
@@ -346,9 +353,10 @@ type Stats struct {
 type task struct {
 	req Request // resolved: defaults filled
 	app workload.App
-	// snap is the snapshot captured at admission: the fast-path cache probe
-	// and the queued execution see the same epoch, so a request can never
-	// miss against one snapshot and compute against another.
+	// snap is the snapshot the task is answered from: the published one at
+	// admission for the cache probe, refreshed when a worker takes the task
+	// and again if a publish supersedes the computation (see execute). key
+	// always matches snap.
 	snap *core.Snapshot
 	key  cacheKey        // valid only when caching is enabled
 	ctx  context.Context // the requester's context; a canceled task is skipped, not computed
@@ -401,6 +409,7 @@ type Server struct {
 
 	requests, hits, misses, rejects, batches, maxBatch, swaps atomic.Int64
 	canceled, walAppends, coalesced, catalogUpdates, shed     atomic.Int64
+	superseded, running                                       atomic.Int64
 }
 
 // flight is one in-progress miss computation. The owner fills body/err and
@@ -420,7 +429,7 @@ type stagedUpgrade struct {
 	incumbent *core.Snapshot
 }
 
-// New builds a server over an initial snapshot and starts its dispatcher.
+// New builds a server over an initial snapshot and starts its workers.
 func New(snap *core.Snapshot, cfg Config) (*Server, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("serve: nil snapshot")
@@ -466,8 +475,11 @@ func New(snap *core.Snapshot, cfg Config) (*Server, error) {
 	if cfg.Tracer.Enabled() {
 		cfg.Tracer.Max("serve.epoch", int64(snap.Epoch()))
 	}
-	s.wg.Add(1)
-	go s.dispatch()
+	workers := parallel.Resolve(cfg.Workers)
+	s.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go s.work()
+	}
 	return s, nil
 }
 
@@ -873,7 +885,7 @@ func (s *Server) AbsorbApp(req AbsorbRequest) (*AbsorbResponse, error) {
 }
 
 // Close drains the server: admission stops immediately (ErrShuttingDown),
-// already-queued requests run to completion, then the dispatcher exits.
+// already-queued requests run to completion, then the workers exit.
 // Close is idempotent and safe to call concurrently.
 func (s *Server) Close() {
 	s.closeMu.Lock()
@@ -981,6 +993,7 @@ func (s *Server) Stats() Stats {
 		Shed:           s.shed.Load(),
 		Batches:        s.batches.Load(),
 		MaxBatch:       s.maxBatch.Load(),
+		Superseded:     s.superseded.Load(),
 		Canceled:       s.canceled.Load(),
 		Swaps:          s.swaps.Load(),
 		Epoch:          snap.Epoch(),
@@ -1052,72 +1065,55 @@ func (s *Server) enqueue(t *task) error {
 	}
 }
 
-// dispatch drains the queue into batches and fans each batch out on the
-// parallel pool. Closing the queue drains the backlog, then exits.
-func (s *Server) dispatch() {
+// work is one worker: it takes queued tasks one at a time and answers each
+// as soon as it is computed. Closing the queue drains the backlog, then
+// every worker exits.
+func (s *Server) work() {
 	defer s.wg.Done()
-	for {
-		t, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := []*task{t}
-	drain:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case t2, ok := <-s.queue:
-				if !ok {
-					// Queue closed and fully drained: ship the last batch.
-					s.run(batch)
-					return
-				}
-				batch = append(batch, t2)
-			default:
-				break drain // queue momentarily empty: ship what we have
+	for t := range s.queue {
+		s.batches.Add(1)
+		n := s.running.Add(1)
+		for peak := s.maxBatch.Load(); n > peak; peak = s.maxBatch.Load() {
+			if s.maxBatch.CompareAndSwap(peak, n) {
+				break
 			}
 		}
-		s.run(batch)
+		if s.cfg.Tracer.Enabled() {
+			s.cfg.Tracer.Count("serve.batches", 1)
+			s.cfg.Tracer.Max("serve.max_batch", n)
+		}
+		t.done <- s.execute(t)
+		s.running.Add(-1)
 	}
 }
 
-// run executes one batch across the worker pool and delivers the results.
-func (s *Server) run(batch []*task) {
-	s.batches.Add(1)
-	if n := int64(len(batch)); n > s.maxBatch.Load() {
-		s.maxBatch.Store(n) // single dispatcher: load-then-store is safe
-	}
-	if s.cfg.Tracer.Enabled() {
-		s.cfg.Tracer.Count("serve.batches", 1)
-		s.cfg.Tracer.Max("serve.max_batch", int64(len(batch)))
-	}
-	results := parallel.MapObs(s.cfg.Tracer, "serve/batch", s.cfg.Workers, len(batch),
-		func(i int) taskResult {
-			return s.execute(batch[i])
-		})
-	for i, t := range batch {
-		t.done <- results[i]
-	}
-}
-
-// execute answers one task against its admission-time snapshot: try the
-// cache, attach to an in-flight computation of the same key, or own the
-// miss — run the prediction once and publish the canonical bytes to the
-// cache and every coalesced waiter. A task whose requester has already gone
-// away (canceled or timed-out context) releases its worker slot immediately
+// execute answers one task against the snapshot published when it is
+// taken: try the cache, attach to an in-flight computation of the same key,
+// or own the miss — run the prediction and publish the canonical bytes to
+// the cache and every coalesced waiter. A task whose requester has already
+// gone away (canceled or timed-out context) releases its worker immediately
 // instead of computing a response nobody reads.
+//
+// Epoch monotonicity: tasks finish out of order, so a miss computed against
+// an older snapshot could otherwise answer after a newer one has, and the
+// router would take the node for a stale replica. Taking the snapshot at
+// execution (not admission) and recomputing once when a publish supersedes
+// it keeps each node's answers at the epoch current when they finish.
 //
 // Stats contract: each cache-eligible task counts exactly one of hits and
 // misses. The flight owner counts the miss; waiters and cached reads count
 // hits (waiters additionally count coalesced), so the /stats hit rate is
-// hits/requests however a thundering herd interleaves.
+// hits/requests however a thundering herd interleaves. A recompute counts
+// Superseded, never a second miss.
 func (s *Server) execute(t *task) taskResult {
 	if err := t.ctx.Err(); err != nil {
 		s.canceled.Add(1)
 		s.cfg.Tracer.Count("serve.canceled", 1)
 		return taskResult{err: err}
 	}
+	s.retarget(t, s.snap.Load())
 	if s.cache == nil {
-		return s.compute(t)
+		return s.computeLatest(t)
 	}
 	s.cacheMu.Lock()
 	if body, ok := s.cache.get(t.key); ok {
@@ -1129,8 +1125,8 @@ func (s *Server) execute(t *task) taskResult {
 	}
 	if f, ok := s.flights[t.key]; ok {
 		// Same key already computing: wait for its bytes instead of redoing
-		// the solve. The owner holds a worker slot until it finishes, so a
-		// waiting slot can never deadlock the pool.
+		// the solve. The owner registered the flight while executing on
+		// another worker, so a waiting worker can never deadlock the pool.
 		s.cacheMu.Unlock()
 		s.hits.Add(1)
 		s.coalesced.Add(1)
@@ -1145,13 +1141,14 @@ func (s *Server) execute(t *task) taskResult {
 			return taskResult{err: t.ctx.Err()}
 		}
 	}
+	flightKey := t.key
 	f := &flight{done: make(chan struct{})}
-	s.flights[t.key] = f
+	s.flights[flightKey] = f
 	s.cacheMu.Unlock()
 	s.misses.Add(1)
 	s.cfg.Tracer.Count("serve.cache_misses", 1)
 
-	res := s.compute(t)
+	res := s.computeLatest(t)
 	s.cacheMu.Lock()
 	if res.err == nil {
 		s.cache.put(t.key, res.body)
@@ -1159,10 +1156,36 @@ func (s *Server) execute(t *task) taskResult {
 	// The cache entry lands before the flight is removed (both under cacheMu),
 	// so at every instant a concurrent same-key request finds the bytes in
 	// exactly one place.
-	delete(s.flights, t.key)
+	delete(s.flights, flightKey)
 	s.cacheMu.Unlock()
 	f.body, f.err = res.body, res.err
 	close(f.done)
+	return res
+}
+
+// retarget points a task at snap and re-derives its cache key.
+func (s *Server) retarget(t *task, snap *core.Snapshot) {
+	if t.snap == snap {
+		return
+	}
+	t.snap = snap
+	if s.cache != nil {
+		t.key = cacheKey{epoch: snap.Epoch(), fp: t.req.fingerprint()}
+	}
+}
+
+// computeLatest computes a task and, when a publish superseded its snapshot
+// meanwhile, recomputes it once against the newly published one. Snapshots
+// compare by pointer, so stage and revert count as publishes even when they
+// keep the epoch.
+func (s *Server) computeLatest(t *task) taskResult {
+	res := s.compute(t)
+	if cur := s.snap.Load(); cur != t.snap {
+		s.superseded.Add(1)
+		s.cfg.Tracer.Count("serve.superseded", 1)
+		s.retarget(t, cur)
+		res = s.compute(t)
+	}
 	return res
 }
 

@@ -203,7 +203,7 @@ func TestNoCacheServesIdenticalBytes(t *testing.T) {
 	}
 }
 
-// gate lets a test hold the dispatcher mid-batch deterministically: the first
+// gate lets a test hold a worker mid-compute deterministically: the first
 // gated measurement closes entered, every measurement blocks until open().
 type gate struct {
 	entered     chan struct{} // closed once on first TryProfile
