@@ -85,7 +85,7 @@ func ExtLatency(env *Env) *Table {
 func pickLatency(env *Env, tgt workload.App, vm string) float64 {
 	for _, v := range env.Catalog {
 		if v.Name == vm {
-			return env.Sim.ProfileRun(tgt, v, env.Seed+0xF2).P90LatencyMS
+			return env.Sim.ProfileTimed(tgt, v, env.Seed+0xF2).P90LatencyMS
 		}
 	}
 	panic("ext-latency: unknown VM " + vm)

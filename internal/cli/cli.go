@@ -455,7 +455,7 @@ func cmdHeatmap(args []string) error {
 	value := map[string]float64{}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, vm := range catalog {
-		p := s.ProfileRun(app, vm, *seed)
+		p := s.ProfileTimed(app, vm, *seed)
 		v := p.CostUSD
 		if *byTime {
 			v = p.P90Seconds
@@ -841,7 +841,7 @@ func cmdCompare(args []string) error {
 
 	type row struct {
 		vm   cloud.VMType
-		prof sim.Profile
+		prof sim.Timing
 	}
 	var rows []row
 	for _, name := range strings.Split(*vmsFlag, ",") {
@@ -849,7 +849,7 @@ func cmdCompare(args []string) error {
 		if err != nil {
 			return err
 		}
-		rows = append(rows, row{vm: vm, prof: s.ProfileRun(app, vm, *seed)})
+		rows = append(rows, row{vm: vm, prof: s.ProfileTimed(app, vm, *seed)})
 	}
 	// Fastest first.
 	sort.Slice(rows, func(i, j int) bool { return rows[i].prof.P90Seconds < rows[j].prof.P90Seconds })

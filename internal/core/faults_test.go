@@ -28,6 +28,13 @@ func (f *flakyService) TryProfile(app workload.App, vm cloud.VMType) (sim.Profil
 	return f.inner.TryProfile(app, vm)
 }
 
+func (f *flakyService) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
+	if f.failVMs[vm.Name] {
+		return sim.Timing{}, errors.New("flaky: injected failure on " + vm.Name)
+	}
+	return f.inner.TryTime(app, vm)
+}
+
 func (f *flakyService) Runs() int             { return f.inner.Runs() }
 func (f *flakyService) SimConfig() sim.Config { return f.inner.SimConfig() }
 

@@ -308,21 +308,26 @@ func (s *System) CollectOffline(sources []workload.App, meter oracle.Service) *O
 		r := appResult{times: make(map[string]float64, len(s.catalog))}
 		sandboxSeen := false
 		for _, vm := range s.catalog {
-			p, err := meter.TryProfile(app, vm)
+			// Only the sandbox cell's traces place the workload in the
+			// graph; every other cell contributes its time alone.
+			var t sim.Timing
+			var err error
+			if vm.Name == s.cfg.SandboxVM {
+				sandboxSeen = true
+				var p sim.Profile
+				if p, err = meter.TryProfile(app, vm); err == nil {
+					t, r.vec = p.Timing(), s.featureVector(p)
+				}
+			} else {
+				t, err = meter.TryTime(app, vm)
+			}
 			if err != nil {
 				// Unrecoverable cell: train without it. A failed sandbox
 				// cell additionally costs the feature vector, handled below.
 				r.skipped++
-				if vm.Name == s.cfg.SandboxVM {
-					sandboxSeen = true
-				}
 				continue
 			}
-			r.times[vm.Name] = p.P90Seconds
-			if vm.Name == s.cfg.SandboxVM {
-				sandboxSeen = true
-				r.vec = s.featureVector(p)
-			}
+			r.times[vm.Name] = t.P90Seconds
 		}
 		if !sandboxSeen {
 			// Sandbox VM not in the profiling catalog: profile it
@@ -638,7 +643,7 @@ func (s *System) predictWith(target workload.App, meter oracle.Service, plan *pr
 			break
 		}
 		vm := s.catalog[pickable[pi]]
-		p, err := meter.TryProfile(target, vm)
+		p, err := meter.TryTime(target, vm)
 		if err != nil {
 			initFailures++
 			if traceKey != "" {
@@ -1087,7 +1092,7 @@ func (s *System) OptimizeFor(target workload.App, budget int, objective Objectiv
 		// A VM whose measurement campaign is abandoned yields no usable
 		// observation; move on to the next candidate. The wasted attempts
 		// still show up in the meter's run accounting.
-		p, err := meter.TryProfile(target, s.byName[vm])
+		p, err := meter.TryTime(target, s.byName[vm])
 		if err != nil {
 			continue
 		}

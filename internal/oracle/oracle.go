@@ -55,7 +55,7 @@ func BuildWorkers(s *sim.Simulator, apps []workload.App, vms []cloud.VMType, see
 	results := parallel.Map(workers, len(apps)*len(vms), func(idx int) cell {
 		a := apps[idx/len(vms)]
 		v := vms[idx%len(vms)]
-		p := s.ProfileRun(a, v, seed)
+		p := s.ProfileTimed(a, v, seed)
 		return cell{Key{App: a.Name, VM: v.Name}, p.P90Seconds, p.CostUSD}
 	})
 	for _, c := range results {
@@ -151,6 +151,11 @@ type Service interface {
 	// TryProfile measures app on vm, charging the training-overhead counter,
 	// and fails when the measurement is unrecoverable.
 	TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error)
+	// TryTime is TryProfile for callers that read only times: it charges,
+	// logs, traces and fails exactly like TryProfile and returns the same
+	// timing fields, but an implementation may skip the metric traces no
+	// such caller reads.
+	TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error)
 	// Runs returns the reference-VM profilings charged so far.
 	Runs() int
 	// SimConfig exposes the underlying simulator's effective configuration
@@ -199,9 +204,9 @@ func (m *Meter) Tracer() *obs.Tracer {
 // startProfileSpan charges the meter.runs trace counter and opens the
 // per-profile span. attempt < 0 marks the ground-truth (non-chaos) path,
 // whose key omits the attempt. Close the returned span with
-// EndSim(profileSpentSec(p)) so the serialized duration is simulated cluster
-// time — a pure function of (app, vm, meter seed[, attempt]) — while the
-// wall timing stays on the verbose stream.
+// EndSim(spentSec(runs, wasted)) so the serialized duration is simulated
+// cluster time — a pure function of (app, vm, meter seed[, attempt]) — while
+// the wall timing stays on the verbose stream.
 func (m *Meter) startProfileSpan(app, vm string, attempt int) obs.Span {
 	t := m.Tracer()
 	if !t.Enabled() {
@@ -215,16 +220,21 @@ func (m *Meter) startProfileSpan(app, vm string, attempt int) obs.Span {
 	return t.Start(key)
 }
 
+// charge counts one reference-VM unit for app on vm.
+func (m *Meter) charge(app, vm string) {
+	m.mu.Lock()
+	m.runs++
+	m.log = append(m.log, Key{App: app, VM: vm})
+	m.mu.Unlock()
+}
+
 // Profile measures app on vm (the full repeated-run P90 protocol) and
 // charges one reference-VM unit.
 func (m *Meter) Profile(app workload.App, vm cloud.VMType) sim.Profile {
-	m.mu.Lock()
-	m.runs++
-	m.log = append(m.log, Key{App: app.Name, VM: vm.Name})
-	m.mu.Unlock()
+	m.charge(app.Name, vm.Name)
 	sp := m.startProfileSpan(app.Name, vm.Name, -1)
 	p := m.Sim.ProfileRun(app, vm, m.Seed)
-	sp.EndSim(profileSpentSec(p))
+	sp.EndSim(spentSec(p.Runs, p.WastedSec))
 	return p
 }
 
@@ -234,6 +244,16 @@ func (m *Meter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, erro
 	return m.Profile(app, vm), nil
 }
 
+// TryTime implements Service: the same run, log entry and span as
+// TryProfile, measured without metric traces. The error is always nil.
+func (m *Meter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
+	m.charge(app.Name, vm.Name)
+	sp := m.startProfileSpan(app.Name, vm.Name, -1)
+	t := m.Sim.ProfileTimed(app, vm, m.Seed)
+	sp.EndSim(spentSec(t.Runs, 0))
+	return t, nil
+}
+
 // SimConfig implements Service.
 func (m *Meter) SimConfig() sim.Config { return m.Sim.Config() }
 
@@ -241,13 +261,10 @@ func (m *Meter) SimConfig() sim.Config { return m.Sim.Config() }
 // (fault-injectable) path, charging one reference-VM unit whether or not the
 // measurement survives — a failed campaign still burned the cluster time.
 func (m *Meter) TryProfileAttempt(app workload.App, vm cloud.VMType, attempt uint64) (sim.Profile, error) {
-	m.mu.Lock()
-	m.runs++
-	m.log = append(m.log, Key{App: app.Name, VM: vm.Name})
-	m.mu.Unlock()
+	m.charge(app.Name, vm.Name)
 	sp := m.startProfileSpan(app.Name, vm.Name, int(attempt))
 	p, err := m.Sim.ProfileAttempt(app, vm, m.Seed, attempt)
-	sp.EndSim(profileSpentSec(p))
+	sp.EndSim(spentSec(p.Runs, p.WastedSec))
 	return p, err
 }
 
@@ -256,13 +273,10 @@ func (m *Meter) TryProfileAttempt(app workload.App, vm cloud.VMType, attempt uin
 // counter — every cluster deployment costs a reference run regardless of
 // its shape.
 func (m *Meter) ProfileWith(s *sim.Simulator, app workload.App, vm cloud.VMType) sim.Profile {
-	m.mu.Lock()
-	m.runs++
-	m.log = append(m.log, Key{App: app.Name, VM: vm.Name})
-	m.mu.Unlock()
+	m.charge(app.Name, vm.Name)
 	sp := m.startProfileSpan(app.Name, vm.Name, -1)
 	p := s.ProfileRun(app, vm, m.Seed)
-	sp.EndSim(profileSpentSec(p))
+	sp.EndSim(spentSec(p.Runs, p.WastedSec))
 	return p
 }
 

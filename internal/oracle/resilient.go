@@ -192,7 +192,7 @@ func (r *Resilient) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, 
 			tr.Count("oracle.failed_runs", int64(p.FailedRuns))
 			tr.Count("oracle.wasted_ms", int64(math.Round(p.WastedSec*1e3)))
 		}
-		clock += profileSpentSec(p)
+		clock += spentSec(p.Runs, p.WastedSec)
 		lastProfile = p
 
 		quarantineReason := ""
@@ -270,11 +270,19 @@ func (r *Resilient) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, 
 		ErrProfileFailed, app.Name, vm.Name, r.policy.MaxRetries+1, lastErr)
 }
 
-// profileSpentSec is the simulated cluster time one profile attempt burned:
+// TryTime implements Service by running the full TryProfile campaign: the
+// checked runs, retries, quarantine checks and their accounting are exactly
+// those of TryProfile, and only the timing fields are returned.
+func (r *Resilient) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
+	p, err := r.TryProfile(app, vm)
+	return p.Timing(), err
+}
+
+// spentSec is the simulated cluster time one profile attempt burned:
 // completed runs plus killed-run waste.
-func profileSpentSec(p sim.Profile) float64 {
-	t := p.WastedSec
-	for _, sec := range p.Runs {
+func spentSec(runs []float64, wastedSec float64) float64 {
+	t := wastedSec
+	for _, sec := range runs {
 		t += sec
 	}
 	return t

@@ -19,18 +19,22 @@ const defaultProfileCacheSize = 4096
 // profile is a pure function of (app, vm, request seed) under a fixed
 // simulator configuration; the app itself is fully determined by its name
 // plus the input-size override, rendered as exact float bits so distinct
-// inputs can never collide.
+// inputs can never collide. timed separates the two key spaces: a timing
+// entry carries no trace, so it may never answer a full-profile lookup.
 type profileKey struct {
-	app  string
-	gb   uint64 // math.Float64bits(app.InputGB)
-	vm   string
-	seed uint64
+	app   string
+	gb    uint64 // math.Float64bits(app.InputGB)
+	vm    string
+	seed  uint64
+	timed bool
 }
 
 // profileLRU is a fixed-capacity, internally synchronized LRU over simulator
-// profiles. It is shared by every request's meter, so a profiling campaign
-// (sandbox + random picks) computed once serves every later request that
-// would redo the identical measurement.
+// measurements: full profiles and timing-only summaries, in their own key
+// spaces but one recency order and one pair of hit/miss counters. It is
+// shared by every request's meter, so a profiling campaign (sandbox + random
+// picks) computed once serves every later request that would redo the
+// identical measurement.
 type profileLRU struct {
 	mu      sync.Mutex
 	cap     int
@@ -40,38 +44,42 @@ type profileLRU struct {
 	hits, misses int64
 }
 
+// profileEntry holds p when key.timed is false and t when it is true.
 type profileEntry struct {
 	key profileKey
 	p   sim.Profile
+	t   sim.Timing
 }
 
 func newProfileLRU(capacity int) *profileLRU {
 	return &profileLRU{cap: capacity, order: list.New(), entries: make(map[profileKey]*list.Element)}
 }
 
-func (c *profileLRU) get(k profileKey) (sim.Profile, bool) {
+// get returns the entry under k, or nil on a miss. Entries are immutable
+// once stored.
+func (c *profileLRU) get(k profileKey) *profileEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
 		c.misses++
-		return sim.Profile{}, false
+		return nil
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*profileEntry).p, true
+	return el.Value.(*profileEntry)
 }
 
-func (c *profileLRU) put(k profileKey, p sim.Profile) {
+func (c *profileLRU) put(e *profileEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		// Identical key means an identical (pure) profile; refresh recency.
+	if el, ok := c.entries[e.key]; ok {
+		// Identical key means an identical (pure) measurement; refresh
+		// recency.
 		c.order.MoveToFront(el)
 		return
 	}
-	el := c.order.PushFront(&profileEntry{key: k, p: p})
-	c.entries[k] = el
+	c.entries[e.key] = c.order.PushFront(e)
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -107,22 +115,43 @@ type memoMeter struct {
 	runs int
 }
 
-// TryProfile implements oracle.Service. The ground-truth simulator cannot
-// fail; the error is always nil.
-func (m *memoMeter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error) {
+// charge counts one reference-VM unit and returns the memo key of app on vm
+// in the chosen key space.
+func (m *memoMeter) charge(app workload.App, vm cloud.VMType, timed bool) profileKey {
 	m.mu.Lock()
 	m.runs++
 	m.mu.Unlock()
+	return profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: vm.Name, seed: m.seed, timed: timed}
+}
+
+// TryProfile implements oracle.Service. The ground-truth simulator cannot
+// fail; the error is always nil.
+func (m *memoMeter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error) {
+	key := m.charge(app, vm, false)
 	if m.cache == nil {
 		return m.sim.ProfileRun(app, vm, m.seed), nil
 	}
-	key := profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: vm.Name, seed: m.seed}
-	if p, ok := m.cache.get(key); ok {
-		return p, nil
+	if e := m.cache.get(key); e != nil {
+		return e.p, nil
 	}
 	p := m.sim.ProfileRun(app, vm, m.seed)
-	m.cache.put(key, p)
+	m.cache.put(&profileEntry{key: key, p: p})
 	return p, nil
+}
+
+// TryTime implements oracle.Service with the same accounting as TryProfile,
+// memoized in the timing key space. The error is always nil.
+func (m *memoMeter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
+	key := m.charge(app, vm, true)
+	if m.cache == nil {
+		return m.sim.ProfileTimed(app, vm, m.seed), nil
+	}
+	if e := m.cache.get(key); e != nil {
+		return e.t, nil
+	}
+	t := m.sim.ProfileTimed(app, vm, m.seed)
+	m.cache.put(&profileEntry{key: key, t: t})
+	return t, nil
 }
 
 // Runs implements oracle.Service.

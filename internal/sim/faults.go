@@ -22,7 +22,6 @@ import (
 	"vesta/internal/metrics"
 	"vesta/internal/obs"
 	"vesta/internal/rng"
-	"vesta/internal/stats"
 	"vesta/internal/workload"
 )
 
@@ -247,13 +246,9 @@ func (s *Simulator) ProfileAttempt(app workload.App, vm cloud.VMType, seed, atte
 			corrSum[j] = math.NaN()
 		}
 	}
-	p90 := stats.P90(runs)
 	return Profile{
 		App: app, VM: vm, Nodes: s.cfg.Nodes,
-		Runs: runs, P90Seconds: p90, MeanSec: stats.Mean(runs),
-		CostUSD: p90 / 3600 * vm.PriceHour * float64(s.cfg.Nodes),
-		Trace:   first.Trace, Exec: first.Exec, Corr: corrSum,
-		P90LatencyMS: stats.P90(lats), ThroughputMBps: thr / float64(len(runs)),
+		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
 		FailedRuns: failed, WastedSec: wasted,
-	}, nil
+	}.withTiming(s.summarize(vm, runs, lats, thr)), nil
 }

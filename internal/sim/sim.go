@@ -444,6 +444,48 @@ func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64) (RunResu
 // byte-identical to the unchecked one.
 const runSeedStride = 0x9e37
 
+// Timing is the time-only summary of the repeated-measurement protocol:
+// every field a caller reads when it ranks, budgets or calibrates on
+// execution time alone. It deliberately carries no metric trace, execution
+// stats or correlation vector, so no caller can read an empty trace by
+// mistake.
+type Timing struct {
+	Runs           []float64
+	P90Seconds     float64
+	MeanSec        float64
+	CostUSD        float64 // P90 time x cluster price
+	P90LatencyMS   float64
+	ThroughputMBps float64
+}
+
+// Timing returns the profile's time-only summary.
+func (p Profile) Timing() Timing {
+	return Timing{
+		Runs: p.Runs, P90Seconds: p.P90Seconds, MeanSec: p.MeanSec, CostUSD: p.CostUSD,
+		P90LatencyMS: p.P90LatencyMS, ThroughputMBps: p.ThroughputMBps,
+	}
+}
+
+// summarize reduces the completed repeats of one (workload, VM) pair — their
+// execution times, streaming latencies and summed throughput — to the
+// protocol's summary: P90 time, cost at P90, P90 latency, mean throughput.
+// Every profile path builds its timing fields here.
+func (s *Simulator) summarize(vm cloud.VMType, runs, lats []float64, thr float64) Timing {
+	p90 := stats.P90(runs)
+	return Timing{
+		Runs: runs, P90Seconds: p90, MeanSec: stats.Mean(runs),
+		CostUSD:      p90 / 3600 * vm.PriceHour * float64(s.cfg.Nodes),
+		P90LatencyMS: stats.P90(lats), ThroughputMBps: thr / float64(len(runs)),
+	}
+}
+
+// withTiming returns p carrying t's summary fields.
+func (p Profile) withTiming(t Timing) Profile {
+	p.Runs, p.P90Seconds, p.MeanSec, p.CostUSD = t.Runs, t.P90Seconds, t.MeanSec, t.CostUSD
+	p.P90LatencyMS, p.ThroughputMBps = t.P90LatencyMS, t.ThroughputMBps
+	return p
+}
+
 // ProfileRun performs the paper's full measurement protocol: Repeats runs,
 // P90 execution time, cost at P90, and the metric trace of the first run.
 func (s *Simulator) ProfileRun(app workload.App, vm cloud.VMType, seed uint64) Profile {
@@ -468,14 +510,27 @@ func (s *Simulator) ProfileRun(app workload.App, vm cloud.VMType, seed uint64) P
 	for j := range corrSum {
 		corrSum[j] /= float64(s.cfg.Repeats)
 	}
-	p90 := stats.P90(runs)
 	return Profile{
 		App: app, VM: vm, Nodes: s.cfg.Nodes,
-		Runs: runs, P90Seconds: p90, MeanSec: stats.Mean(runs),
-		CostUSD: p90 / 3600 * vm.PriceHour * float64(s.cfg.Nodes),
-		Trace:   first.Trace, Exec: first.Exec, Corr: corrSum,
-		P90LatencyMS: stats.P90(lats), ThroughputMBps: thr / float64(s.cfg.Repeats),
+		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
+	}.withTiming(s.summarize(vm, runs, lats, thr))
+}
+
+// ProfileTimed is ProfileRun without the metric traces: the same repeats
+// over the same per-repeat seeds, timed with RunTimed. The physics finishes
+// before trace sampling starts, so every field equals ProfileRun's bit for
+// bit at a fraction of the cost. Use it wherever only times are read.
+func (s *Simulator) ProfileTimed(app workload.App, vm cloud.VMType, seed uint64) Timing {
+	runs := make([]float64, s.cfg.Repeats)
+	lats := make([]float64, s.cfg.Repeats)
+	thr := 0.0
+	for i := 0; i < s.cfg.Repeats; i++ {
+		r := s.RunTimed(app, vm, seed+uint64(i)*runSeedStride)
+		runs[i] = r.Seconds
+		lats[i] = r.LatencyMS
+		thr += r.ThroughputMBps
 	}
+	return s.summarize(vm, runs, lats, thr)
 }
 
 // phase constructors set the characteristic utilization levels that the

@@ -311,6 +311,16 @@ func BenchmarkProfileRun(b *testing.B) {
 	}
 }
 
+func BenchmarkProfileTimed(b *testing.B) {
+	s := New(DefaultConfig())
+	a, _ := workload.ByName("Spark-lr")
+	vm := byName["m5.xlarge"]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.ProfileTimed(a, vm, uint64(i))
+	}
+}
+
 func TestHiveEngineOverheads(t *testing.T) {
 	// Hive adds query-planning latency and plan-translated extra stages on
 	// top of MapReduce: the same kernel must run slower on Hive than on
