@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test ./internal/bipartite -run xxx -fuzz FuzzGraphJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/loadgen -run xxx -fuzz FuzzLoadgenConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rollout -run xxx -fuzz FuzzRolloutManifest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 
 # loadgen is the load-generator determinism smoke (DESIGN.md §15): a quick
 # single run and tuner sweep exercise the CLI modes, then the full
@@ -114,15 +115,15 @@ loadgen-report:
 
 # bench-serve reruns the serving-throughput sweep recorded in
 # results/serve.md (requests/sec vs worker count, cache on and off, plus the
-# uncached-arm ladder: cold / warm / warm+memo / approx).
+# uncached-arm ladder: legacy / fold-in / fold-in+memo).
 bench-serve:
 	$(GO) test ./internal/serve -run xxx -bench 'BenchmarkServe|BenchmarkPredictNoCache' -benchtime 200x
 
 # bench-predict is the uncached-predict regression gate (DESIGN.md §12): a
-# benchstat-style before/after comparison of the legacy arm (cold solve, no
-# memoization) against the default precomputed-plan arm, in one binary,
-# failing when the fast path loses its margin (>10% regression of the
-# no-cache arm trips the floor).
+# benchstat-style before/after comparison of the legacy arm (Snapshot.Predict,
+# the cold solve, with no memoization) against the default serving arm (plan
+# fold-in + memoization), in one binary, failing when the fast path falls
+# under the 1.8x floor.
 bench-predict:
 	VESTA_BENCH_PREDICT=1 $(GO) test ./internal/serve -run TestPredictHotPathGate -v -timeout 20m
 

@@ -27,13 +27,12 @@ func fig7Deviation(t *testing.T, env *Env, predicted map[string]float64, app wor
 	return stats.Mean(dev)
 }
 
-// TestFastPathAccuracyVsFigure7 holds the warm-started fast path — and its
-// opt-in FreezeSource approximate mode — to the paper's Figure 7 accuracy
-// protocol: predicted vs observed execution time of Spark-lr on the 10
-// typical VM types. The warm path optimizes the same objective as the cold
-// solve and must stay within 2 percentage points of its mean deviation; the
-// approximate mode trades the source-factor updates away and is allowed 5
-// points. Both must also agree with the cold path on the best VM.
+// TestFastPathAccuracyVsFigure7 holds the serving fast path (the target
+// folded in against the plan's converged label factors) to the paper's
+// Figure 7 accuracy protocol: predicted vs observed execution time of
+// Spark-lr on the 10 typical VM types. It must stay within 2 percentage
+// points of the cold solve's mean deviation and agree with the cold path on
+// the best VM.
 func TestFastPathAccuracyVsFigure7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a full system")
@@ -53,29 +52,19 @@ func TestFastPathAccuracyVsFigure7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := snap.PredictFast(app, env.Meter(0x70), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apx, err := snap.PredictFast(app, env.Meter(0x70), true)
+	fast, err := snap.PredictFast(app, env.Meter(0x70))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	coldDev := fig7Deviation(t, env, cold.PredictedSec, app)
-	warmDev := fig7Deviation(t, env, warm.PredictedSec, app)
-	apxDev := fig7Deviation(t, env, apx.PredictedSec, app)
-	t.Logf("Figure 7 mean |deviation|: cold %.1f%%, warm %.1f%%, approx %.1f%%", coldDev, warmDev, apxDev)
+	fastDev := fig7Deviation(t, env, fast.PredictedSec, app)
+	t.Logf("Figure 7 mean |deviation|: cold %.1f%%, fast path %.1f%%", coldDev, fastDev)
 
-	if warmDev > coldDev+2 {
-		t.Errorf("warm fast path mean deviation %.1f%% exceeds cold %.1f%% by more than 2 points", warmDev, coldDev)
+	if fastDev > coldDev+2 {
+		t.Errorf("fast path mean deviation %.1f%% exceeds cold %.1f%% by more than 2 points", fastDev, coldDev)
 	}
-	if apxDev > coldDev+5 {
-		t.Errorf("approximate mode mean deviation %.1f%% exceeds cold %.1f%% by more than 5 points", apxDev, coldDev)
-	}
-	for mode, p := range map[string]string{"warm": warm.Best.Name, "approx": apx.Best.Name} {
-		if p != cold.Best.Name {
-			t.Errorf("%s mode best VM %s, cold picked %s", mode, p, cold.Best.Name)
-		}
+	if fast.Best.Name != cold.Best.Name {
+		t.Errorf("fast path best VM %s, cold picked %s", fast.Best.Name, cold.Best.Name)
 	}
 }

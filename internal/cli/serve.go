@@ -43,8 +43,6 @@ func cmdServe(f *Factory, args []string) error {
 	shedThreshold := fs.Float64("shed-threshold", 0, "shed best-effort requests (priority >= 1) once queue occupancy reaches this fraction of -queue (0 disables)")
 	cacheSize := fs.Int("cache", 1024, "LRU response cache entries (0 = default, use -no-cache to disable)")
 	noCache := fs.Bool("no-cache", false, "disable the response cache")
-	cold := fs.Bool("cold", false, "serve through the historical cold CMF solve instead of the precomputed-plan fast path")
-	approx := fs.Bool("approx", false, "approximate mode: freeze source factors, fit only the target row (cheaper, small accuracy tradeoff; ignored with -cold)")
 	profileCache := fs.Int("profile-cache", 0, "memoized-measurement LRU entries (0 = default 4096, negative disables memoization)")
 	nodes := fs.Int("nodes", 4, "cluster size of the per-request measurement simulator")
 	stateDir := fs.String("state-dir", "", "durable state directory (WAL + checkpoints); empty serves in-memory only")
@@ -129,8 +127,6 @@ func cmdServe(f *Factory, args []string) error {
 		ShedThreshold:    *shedThreshold,
 		CacheSize:        *cacheSize,
 		NoCache:          *noCache,
-		ColdStart:        *cold,
-		Approx:           *approx,
 		ProfileCacheSize: *profileCache,
 		SimConfig:        sim.Config{Nodes: *nodes},
 		Tracer:           tracer,

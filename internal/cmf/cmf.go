@@ -16,6 +16,10 @@
 // filling data from U"). The paper's tradeoff parameter lambda weights the
 // target reconstruction against the source knowledge; the paper uses 0.75.
 //
+// Once L has converged over the source relations, placing one more target
+// row is a small convex problem with a closed-form answer: FoldIn solves it
+// directly instead of running SGD over every relation again.
+//
 // Non-convergence is a first-class outcome: the paper reports that Spark-CF
 // "does not converge in the SGD algorithm", handled by a convergence
 // limitation in the online phase. Solve reports Converged=false when the
@@ -88,43 +92,6 @@ type Config struct {
 	Tracer *obs.Tracer
 	// TraceKey namespaces this solve's records; defaults to "cmf".
 	TraceKey string
-	// Warm, when non-nil, seeds the solve from previously converged source
-	// factors: X, T and L start at Warm's values (cloned — the seed is never
-	// mutated) and only the target rows X* start cold, initialized at the
-	// closed-form ridge solution of their convex subproblem given Warm.L
-	// (random fallback when that system is singular). The alternating sweeps
-	// then run exactly as in a cold solve — same updates, same convergence
-	// test — so a warm solve optimizes the same Equation 6 objective and
-	// typically stabilizes in ~Patience epochs instead of hundreds. The
-	// result is a pure function of (problem, config, rng state) either way;
-	// warm-starting changes the trajectory, not the determinism contract.
-	Warm *Factors
-	// FreezeSource is the explicit opt-in approximate mode: with Warm set,
-	// the source factors X, T and L stay frozen and only the X* rows are
-	// fitted (epochs sweep the observed U* cells alone, and the tracked loss
-	// reduces to the target term lambda*SSE(U*) + Reg*|X*|^2). Orders of
-	// magnitude cheaper than a full solve, but the label geometry no longer
-	// adapts to the target at all — callers own the accuracy tradeoff.
-	// Rejected without Warm.
-	FreezeSource bool
-}
-
-// Factors is a warm-start seed for Solve: the converged source-side factor
-// matrices of a previous solve over the same U and V. Solve treats the seed
-// as immutable.
-type Factors struct {
-	X, T, L *mat.Matrix
-	// Epochs is how many epochs the seeding solve ran. A warm solve resumes
-	// the learning-rate decay schedule at this offset — restarting the decay
-	// from zero would take SGD steps ~(1+LRDecay*Epochs)x larger than the
-	// ones the seed converged under, re-inflating the noise ball and undoing
-	// the convergence the seed carries.
-	Epochs int
-}
-
-// Clone deep-copies the seed.
-func (f *Factors) Clone() *Factors {
-	return &Factors{X: f.X.Clone(), T: f.T.Clone(), L: f.L.Clone(), Epochs: f.Epochs}
 }
 
 // WithLambda returns a copy of the config with Lambda explicitly set, so
@@ -154,7 +121,7 @@ func (c *Config) fillDefaults() {
 	}
 	// Lambda, Reg and LRDecay all admit 0 as a meaningful value, so the
 	// zero value alone cannot act as the "unset" sentinel — the *Set flags
-	// disambiguate. Negative values are rejected in Solve, not silently
+	// disambiguate. Negative values are rejected by validate, not silently
 	// replaced here.
 	if c.Lambda == 0 && !c.LambdaSet {
 		c.Lambda = 0.75
@@ -177,6 +144,17 @@ func (c *Config) fillDefaults() {
 	if c.Patience <= 0 {
 		c.Patience = 10
 	}
+}
+
+// validate rejects the filled config's out-of-range objective weights.
+func (c *Config) validate() error {
+	if c.Lambda < 0 || c.Lambda > 1 || math.IsNaN(c.Lambda) {
+		return fmt.Errorf("cmf: lambda %v out of [0,1]", c.Lambda)
+	}
+	if c.Reg < 0 || math.IsNaN(c.Reg) {
+		return fmt.Errorf("cmf: negative regularization %v", c.Reg)
+	}
+	return nil
 }
 
 // Result is a fitted factorization.
@@ -217,10 +195,9 @@ type cellRC struct {
 
 // Prepared is a validated problem with its observed-cell lists prebuilt.
 // Building the lists costs one pass over every matrix; a caller that solves
-// the same problem repeatedly (the serving hot path: one prepared source
-// problem, one fresh target row per request) prepares once and solves many
-// times. A Prepared is immutable after construction and safe for concurrent
-// Solve calls.
+// the same problem repeatedly prepares once and solves many times. A
+// Prepared is immutable after construction and safe for concurrent Solve
+// calls.
 type Prepared struct {
 	prob                       Problem
 	cellsUStar, cellsU, cellsV []cellRC
@@ -239,23 +216,6 @@ func Prepare(p Problem) (*Prepared, error) {
 	}, nil
 }
 
-// WithTarget returns a Prepared over the same (already indexed) source
-// matrices but a new target row matrix and mask — the per-request
-// specialization of a shared source problem. Only the U* cell list is
-// rebuilt; U's and V's are shared with the receiver.
-func (pr *Prepared) WithTarget(ustar, mask *mat.Matrix) (*Prepared, error) {
-	next := &Prepared{
-		prob:   Problem{U: pr.prob.U, V: pr.prob.V, UStar: ustar, Mask: mask},
-		cellsU: pr.cellsU,
-		cellsV: pr.cellsV,
-	}
-	if err := next.prob.Validate(); err != nil {
-		return nil, err
-	}
-	next.cellsUStar = observedCells(ustar, mask)
-	return next, nil
-}
-
 // scratchPool recycles the shuffle buffers of concurrent solves. Entries are
 // pointers to slices (the usual sync.Pool idiom avoiding per-Put allocation).
 var scratchPool = sync.Pool{New: func() any { s := make([]cellRC, 0, 1280); return &s }}
@@ -271,52 +231,25 @@ func Solve(p Problem, cfg Config, src *rng.Source) (*Result, error) {
 	return pr.Solve(cfg, src)
 }
 
-// Solve runs the alternating SGD over the prepared problem. See Solve for
-// the algorithm and Config.Warm/Config.FreezeSource for the warm-start and
-// approximate modes.
+// Solve runs the alternating SGD over the prepared problem; see Solve.
 func (pr *Prepared) Solve(cfg Config, src *rng.Source) (*Result, error) {
 	p := pr.prob
 	cfg.fillDefaults()
-	if cfg.Lambda < 0 || cfg.Lambda > 1 || math.IsNaN(cfg.Lambda) {
-		return nil, fmt.Errorf("cmf: lambda %v out of [0,1]", cfg.Lambda)
-	}
-	if cfg.Reg < 0 || math.IsNaN(cfg.Reg) {
-		return nil, fmt.Errorf("cmf: negative regularization %v", cfg.Reg)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.LRDecay < 0 || math.IsNaN(cfg.LRDecay) {
 		return nil, fmt.Errorf("cmf: negative learning-rate decay %v", cfg.LRDecay)
 	}
-	if cfg.FreezeSource && cfg.Warm == nil {
-		return nil, fmt.Errorf("cmf: FreezeSource requires Warm factors")
-	}
 
+	// The draw order X, X*, T, L is part of the determinism contract (it
+	// pins the rng stream of every historical solve).
 	g := cfg.LatentDim
-	j := p.U.Cols
-	var res *Result
-	epochOffset := 0
-	if cfg.Warm != nil {
-		w := cfg.Warm
-		if w.X == nil || w.T == nil || w.L == nil ||
-			w.X.Rows != p.U.Rows || w.X.Cols != g ||
-			w.T.Rows != p.V.Rows || w.T.Cols != g ||
-			w.L.Rows != j || w.L.Cols != g {
-			return nil, fmt.Errorf("cmf: warm factor shapes do not match problem/latent dim %d", g)
-		}
-		if w.Epochs < 0 {
-			return nil, fmt.Errorf("cmf: negative warm epoch offset %d", w.Epochs)
-		}
-		epochOffset = w.Epochs
-		res = &Result{X: w.X.Clone(), T: w.T.Clone(), L: w.L.Clone()}
-		res.XStar = initTargetRows(p, pr.cellsUStar, res.L, cfg, src)
-	} else {
-		// Cold start: the draw order X, X*, T, L is part of the determinism
-		// contract (it pins the rng stream of every historical solve).
-		res = &Result{
-			X:     randomFactor(p.U.Rows, g, src),
-			XStar: randomFactor(p.UStar.Rows, g, src),
-			T:     randomFactor(p.V.Rows, g, src),
-			L:     randomFactor(j, g, src),
-		}
+	res := &Result{
+		X:     randomFactor(p.U.Rows, g, src),
+		XStar: randomFactor(p.UStar.Rows, g, src),
+		T:     randomFactor(p.V.Rows, g, src),
+		L:     randomFactor(p.U.Cols, g, src),
 	}
 
 	// The observed-cell lists are fixed for the whole solve (the mask never
@@ -344,31 +277,20 @@ func (pr *Prepared) Solve(cfg Config, src *rng.Source) (*Result, error) {
 	best := math.Inf(1)
 	stagnant := 0
 	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
-		// Decayed step size keeps late epochs from oscillating; a warm solve
-		// resumes the schedule at the seed's epoch count (see Factors.Epochs).
-		lrE := cfg.LearnRate / (1 + cfg.LRDecay*float64(epochOffset+epoch))
+		// Decayed step size keeps late epochs from oscillating.
+		lrE := cfg.LearnRate / (1 + cfg.LRDecay*float64(epoch))
 		// Line 8: fix U (X) and V (T), update U*'s factors.
 		sweep(p.UStar, pr.cellsUStar, scratch, res.XStar, res.L, cfg.Lambda, lrE, cfg.Reg, src, true, false)
-		if !cfg.FreezeSource {
-			// Line 9: fix U* and V, update U's factors.
-			sweep(p.U, pr.cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
-			// Line 10: fix U and U*, update V's factors.
-			sweep(p.V, pr.cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
-			// Shared label factors see every relation.
-			sweep(p.UStar, pr.cellsUStar, scratch, res.XStar, res.L, cfg.Lambda, lrE, cfg.Reg, src, false, true)
-			sweep(p.U, pr.cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
-			sweep(p.V, pr.cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
-		}
+		// Line 9: fix U* and V, update U's factors.
+		sweep(p.U, pr.cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
+		// Line 10: fix U and U*, update V's factors.
+		sweep(p.V, pr.cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
+		// Shared label factors see every relation.
+		sweep(p.UStar, pr.cellsUStar, scratch, res.XStar, res.L, cfg.Lambda, lrE, cfg.Reg, src, false, true)
+		sweep(p.U, pr.cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
+		sweep(p.V, pr.cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
 
-		var loss float64
-		if cfg.FreezeSource {
-			// Approximate mode tracks only the target term: the frozen
-			// source reconstruction is a constant that would swamp the
-			// relative-improvement convergence test.
-			loss = cfg.Lambda*maskedSSE(p.UStar, p.Mask, res.XStar, res.L) + cfg.Reg*sq(res.XStar)
-		} else {
-			loss = totalLoss(p, res, cfg)
-		}
+		loss := totalLoss(p, res, cfg)
 		res.Loss = append(res.Loss, loss)
 		res.Epochs = epoch + 1
 		if lossKey != "" {
@@ -399,26 +321,52 @@ func (pr *Prepared) Solve(cfg Config, src *rng.Source) (*Result, error) {
 	return res, nil
 }
 
-// initTargetRows places the cold X* rows of a warm-started solve at the
-// closed-form ridge solution of their convex subproblem given the warm L:
-// per row r, minimize lambda*sum_obs (u*_rc - x.L_c)^2 + Reg*|x|^2, i.e.
-// solve (lambda*Lo^T Lo + Reg*I) x = lambda*Lo^T u*_o over the observed
-// columns o. Rows whose system is singular (or with no observed cells) fall
-// back to the historical random initialization, drawing from src.
-func initTargetRows(p Problem, cells []cellRC, l *mat.Matrix, cfg Config, src *rng.Source) *mat.Matrix {
+// FoldIn places a new workload in the label geometry of already-converged
+// shared label factors l (one row of L per label): each target row r of
+// ustar is set to the exact minimizer of its term of Equation 6 with L held
+// fixed,
+//
+//	min_x  lambda * sum_{c observed} (u*_rc - x.L_c)^2 + Reg*|x|^2,
+//
+// i.e. the solution of the g x g ridge system
+// (lambda*Lo^T Lo + Reg*I) x = lambda*Lo^T u*_o over the observed columns o.
+// It returns Completed = X* L^T, the filled-in target rows. With L frozen the
+// source terms of Equation 6 are constants, so this is the whole target
+// optimization in closed form: no SGD and no rng. mask marks observed cells
+// (nil: all observed). ok is false when the config is invalid, the shapes
+// disagree (l must be ustar.Cols x LatentDim), a row has no observed cell,
+// or a row's system is singular or yields a non-finite solution.
+func FoldIn(ustar, mask, l *mat.Matrix, cfg Config) (completed *mat.Matrix, ok bool) {
+	xstar, ok := foldRows(ustar, mask, l, cfg)
+	if !ok {
+		return nil, false
+	}
+	return xstar.Mul(l.T()), true
+}
+
+// foldRows returns the X* rows FoldIn places (see FoldIn).
+func foldRows(ustar, mask, l *mat.Matrix, cfg Config) (*mat.Matrix, bool) {
+	cfg.fillDefaults()
 	g := cfg.LatentDim
-	xstar := mat.New(p.UStar.Rows, g)
-	for r := 0; r < p.UStar.Rows; r++ {
+	if cfg.validate() != nil || ustar == nil || l == nil || ustar.Rows == 0 ||
+		l.Rows != ustar.Cols || l.Cols != g ||
+		(mask != nil && (mask.Rows != ustar.Rows || mask.Cols != ustar.Cols)) {
+		return nil, false
+	}
+	j := ustar.Cols
+	xstar := mat.New(ustar.Rows, g)
+	for r := 0; r < ustar.Rows; r++ {
 		a := mat.New(g, g)
 		b := make([]float64, g)
 		seen := false
-		for _, cell := range cells {
-			if int(cell.r) != r {
+		for c := 0; c < j; c++ {
+			idx := r*j + c
+			if mask != nil && mask.Data[idx] == 0 {
 				continue
 			}
 			seen = true
-			lrow := l.RowView(int(cell.c))
-			u := p.UStar.Data[cell.idx]
+			lrow := l.RowView(c)
+			u := ustar.Data[idx]
 			for i := 0; i < g; i++ {
 				b[i] += cfg.Lambda * u * lrow[i]
 				for k := 0; k < g; k++ {
@@ -426,20 +374,24 @@ func initTargetRows(p Problem, cells []cellRC, l *mat.Matrix, cfg Config, src *r
 				}
 			}
 		}
+		if !seen {
+			return nil, false
+		}
 		for i := 0; i < g; i++ {
 			a.Data[i*g+i] += cfg.Reg
 		}
-		if seen {
-			if x, err := mat.Solve(a, b); err == nil {
-				xstar.SetRow(r, x)
-				continue
+		x, err := mat.Solve(a, b)
+		if err != nil {
+			return nil, false
+		}
+		for _, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, false
 			}
 		}
-		for f := 0; f < g; f++ {
-			xstar.Data[r*g+f] = src.Norm(0, 0.1)
-		}
+		xstar.SetRow(r, x)
 	}
-	return xstar
+	return xstar, true
 }
 
 // observedCells lists target's observed cells (all of them for a nil mask)

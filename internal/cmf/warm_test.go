@@ -170,46 +170,14 @@ func TestPreparedSolveMatchesSolve(t *testing.T) {
 	equalBits(t, "completed", got.Completed, want.Completed)
 }
 
-// TestWithTargetMatchesFreshPrepare pins the shared-source specialization:
-// swapping in a new target row must behave exactly like preparing the full
-// problem from scratch.
-func TestWithTargetMatchesFreshPrepare(t *testing.T) {
-	src := rng.New(27)
-	p, _ := synthProblem(src, 8, 3, 6, 5, 2, 0.5)
-	pr, err := Prepare(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _ := synthProblem(rng.New(28), 8, 3, 6, 5, 2, 0.4)
-	p2.U, p2.V = p.U, p.V // same sources, new target
-	sub, err := pr.WithTarget(p2.UStar, p2.Mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{MaxEpochs: 40}
-	got, err := sub.Solve(cfg, rng.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Solve(p2, cfg, rng.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalBits(t, "completed", got.Completed, want.Completed)
-
-	if _, err := pr.WithTarget(mat.New(3, 4), nil); err == nil {
-		t.Fatal("label-dim mismatch accepted by WithTarget")
-	}
-}
-
 // warmFixture mirrors the serving architecture at membership scale: a
 // source-only "plan" problem (empty target row) is solved cold once, and the
 // request problem adds one new row with a few observed cells drawn in the
-// same label geometry — the transfer assumption warm-start exploits: source
-// factors are already right, only the target's coordinates are unknown.
-// Factor entries sit in U(0, 0.35) so matrix cells are ~0.1-0.3, like the
-// real label-membership matrices.
-func warmFixture(t *testing.T) (Problem, *Result, Problem, Config) {
+// same label geometry — the transfer assumption the fold-in exploits: the
+// converged label factors are already right, only the target's coordinates
+// are unknown. Factor entries sit in U(0, 0.35) so matrix cells are
+// ~0.1-0.3, like the real label-membership matrices.
+func warmFixture(t *testing.T) (*Result, Problem, Config) {
 	t.Helper()
 	src := rng.New(50)
 	factor := func(rows, g int) *mat.Matrix {
@@ -238,134 +206,94 @@ func warmFixture(t *testing.T) (Problem, *Result, Problem, Config) {
 		ustar.Set(0, c, full.At(0, c))
 	}
 	next := Problem{U: p.U, V: p.V, UStar: ustar, Mask: mask}
-	return p, cold, next, cfg
+	return cold, next, cfg
 }
 
-// TestWarmStartConvergesFaster is the warm-start value proposition: seeded
-// with converged source factors, the solve on a new target row must finish
-// in far fewer epochs than the cold solve and still fit the target well.
-func TestWarmStartConvergesFaster(t *testing.T) {
-	_, cold, next, cfg := warmFixture(t)
-
-	coldNext, err := Solve(next, cfg, rng.New(53))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmCfg := cfg
-	warmCfg.Warm = &Factors{X: cold.X, T: cold.T, L: cold.L, Epochs: cold.Epochs}
-	warm, err := Solve(next, warmCfg, rng.New(53))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Converged {
-		t.Fatalf("warm solve did not converge in %d epochs", warm.Epochs)
-	}
-	if warm.Epochs*2 > coldNext.Epochs {
-		t.Fatalf("warm solve took %d epochs vs cold %d; want at least 2x fewer", warm.Epochs, coldNext.Epochs)
-	}
-	// Warm completion must fit the observed target cells about as well as
-	// cold (within 2x on observed-cell RMSE).
-	warmRMSE := warm.RMSEObserved(next.UStar, next.Mask)
-	coldRMSE := coldNext.RMSEObserved(next.UStar, next.Mask)
-	if warmRMSE > 2*coldRMSE+1e-9 {
-		t.Fatalf("warm observed RMSE %v much worse than cold %v", warmRMSE, coldRMSE)
-	}
-}
-
-// TestWarmDoesNotMutateSeedFactors: Solve clones the warm factors; the
-// caller's snapshot must never be written through.
+// TestWarmDoesNotMutateSeedFactors: FoldIn only reads the converged label
+// factors it is seeded with (the serving plan shares them across every
+// concurrent request) and the target it places.
 func TestWarmDoesNotMutateSeedFactors(t *testing.T) {
-	_, cold, next, cfg := warmFixture(t)
-	seedX, seedT, seedL := cold.X.Clone(), cold.T.Clone(), cold.L.Clone()
-	cfg.Warm = &Factors{X: cold.X, T: cold.T, L: cold.L, Epochs: cold.Epochs}
-	if _, err := Solve(next, cfg, rng.New(54)); err != nil {
-		t.Fatal(err)
+	cold, next, cfg := warmFixture(t)
+	seedL, ustar, mask := cold.L.Clone(), next.UStar.Clone(), next.Mask.Clone()
+	if _, ok := FoldIn(next.UStar, next.Mask, cold.L, cfg); !ok {
+		t.Fatal("fold-in failed on a well-posed target")
 	}
-	equalBits(t, "X", cold.X, seedX)
-	equalBits(t, "T", cold.T, seedT)
 	equalBits(t, "L", cold.L, seedL)
+	equalBits(t, "UStar", next.UStar, ustar)
+	equalBits(t, "Mask", next.Mask, mask)
 }
 
-// TestFreezeSourceFitsOnlyTarget: approximate mode must leave the source
-// factors byte-identical to the warm seed and still fit the target row.
+// TestFreezeSourceFitsOnlyTarget: FoldIn is the frozen-source fit — the
+// label factors stay at the plan's converged values and only the target row
+// is placed — and its fit of the observed target cells must stay close to a
+// full cold solve that re-fits every factor.
 func TestFreezeSourceFitsOnlyTarget(t *testing.T) {
-	_, cold, next, cfg := warmFixture(t)
-	cfg.Warm = &Factors{X: cold.X, T: cold.T, L: cold.L, Epochs: cold.Epochs}
-	cfg.FreezeSource = true
-	res, err := Solve(next, cfg, rng.New(55))
+	cold, next, cfg := warmFixture(t)
+	completed, ok := FoldIn(next.UStar, next.Mask, cold.L, cfg)
+	if !ok {
+		t.Fatal("fold-in failed on a well-posed target")
+	}
+	full, err := Solve(next, cfg, rng.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalBits(t, "X", res.X, cold.X)
-	equalBits(t, "T", res.T, cold.T)
-	equalBits(t, "L", res.L, cold.L)
-	// The target fit must still be reasonable relative to a full solve.
-	full, err := Solve(next, Config{LatentDim: 3, MaxEpochs: 2000, Tol: 1e-4}, rng.New(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozenRMSE := res.RMSEObserved(next.UStar, next.Mask)
+	folded := (&Result{Completed: completed}).RMSEObserved(next.UStar, next.Mask)
 	fullRMSE := full.RMSEObserved(next.UStar, next.Mask)
-	if frozenRMSE > 3*fullRMSE+1e-9 {
-		t.Fatalf("frozen-source observed RMSE %v too far from full solve %v", frozenRMSE, fullRMSE)
+	if folded > 3*fullRMSE+1e-9 {
+		t.Fatalf("fold-in observed RMSE %v too far from full solve %v", folded, fullRMSE)
 	}
 }
 
+// TestFreezeSourceRequiresWarm: a frozen-source fit needs the converged
+// label factors; FoldIn without them reports not-ok instead of panicking.
 func TestFreezeSourceRequiresWarm(t *testing.T) {
-	src := rng.New(60)
-	p, _ := synthProblem(src, 4, 2, 3, 3, 2, 1)
-	if _, err := Solve(p, Config{FreezeSource: true}, rng.New(1)); err == nil {
-		t.Fatal("FreezeSource without Warm accepted")
+	p, _ := synthProblem(rng.New(60), 4, 2, 3, 3, 2, 1)
+	if _, ok := FoldIn(p.UStar, p.Mask, nil, Config{LatentDim: 2}); ok {
+		t.Fatal("FoldIn without label factors reported ok")
 	}
 }
 
+// TestWarmShapeValidation: label factors that do not match the target's
+// label dimension or the configured latent dimension are rejected, as is a
+// mask of the wrong shape.
 func TestWarmShapeValidation(t *testing.T) {
-	src := rng.New(61)
-	p, _ := synthProblem(src, 5, 3, 4, 4, 2, 0.8)
-	good := &Factors{
-		X: mat.New(5, 2), T: mat.New(4, 2), L: mat.New(4, 2),
+	p, _ := synthProblem(rng.New(61), 5, 3, 4, 4, 2, 0.8)
+	cfg := Config{LatentDim: 2}
+	if _, ok := FoldIn(p.UStar, p.Mask, randomFactor(4, 2, rng.New(62)), cfg); !ok {
+		t.Fatal("well-shaped label factors rejected")
 	}
-	if _, err := Solve(p, Config{LatentDim: 2, MaxEpochs: 2, Warm: good}, rng.New(1)); err != nil {
-		t.Fatalf("well-shaped warm factors rejected: %v", err)
+	cases := []struct {
+		name        string
+		ustar, mask *mat.Matrix
+		l           *mat.Matrix
+	}{
+		{"wrong L rows", p.UStar, p.Mask, mat.New(5, 2)},
+		{"wrong latent dim", p.UStar, p.Mask, mat.New(4, 3)},
+		{"wrong mask shape", p.UStar, mat.New(3, 5), mat.New(4, 2)},
+		{"nil target", nil, nil, mat.New(4, 2)},
+		{"empty target", mat.New(0, 4), nil, mat.New(4, 2)},
 	}
-	cases := []*Factors{
-		{X: mat.New(6, 2), T: mat.New(4, 2), L: mat.New(4, 2)}, // wrong X rows
-		{X: mat.New(5, 3), T: mat.New(4, 2), L: mat.New(4, 2)}, // wrong latent dim
-		{X: mat.New(5, 2), T: mat.New(3, 2), L: mat.New(4, 2)}, // wrong T rows
-		{X: mat.New(5, 2), T: mat.New(4, 2), L: mat.New(5, 2)}, // wrong L rows
-		{X: nil, T: mat.New(4, 2), L: mat.New(4, 2)},           // nil factor
-	}
-	for i, w := range cases {
-		if _, err := Solve(p, Config{LatentDim: 2, MaxEpochs: 2, Warm: w}, rng.New(1)); err == nil {
-			t.Fatalf("case %d: bad warm shapes accepted", i)
+	for _, tc := range cases {
+		if _, ok := FoldIn(tc.ustar, tc.mask, tc.l, cfg); ok {
+			t.Fatalf("%s: accepted", tc.name)
 		}
 	}
 }
 
-func TestFactorsClone(t *testing.T) {
-	f := &Factors{X: mat.New(2, 2), T: mat.New(2, 2), L: mat.New(2, 2)}
-	f.X.Data[0] = 1
-	c := f.Clone()
-	c.X.Data[0] = 9
-	if f.X.Data[0] != 1 {
-		t.Fatal("Clone shares storage with the receiver")
-	}
-}
-
-// BenchmarkWarmVsColdSolve quantifies the warm-start epoch savings on the
-// synthetic fixture (run with -bench).
-func BenchmarkSolveWarm(b *testing.B) {
+// BenchmarkFoldIn measures one serving-shaped fold-in: a 1 x 9 target row
+// with 3 observed labels against 6-dimensional label factors.
+func BenchmarkFoldIn(b *testing.B) {
 	src := rng.New(70)
-	p, _ := synthProblem(src, 18, 12, 120, 9, 4, 0.3)
-	cold, err := Solve(p, Config{MaxEpochs: 2000, Tol: 1e-4}, rng.New(71))
-	if err != nil {
-		b.Fatal(err)
+	l := randomFactor(9, 6, src)
+	ustar, mask := mat.New(1, 9), mat.New(1, 9)
+	for _, c := range []int{0, 3, 7} {
+		ustar.Set(0, c, src.Range(0, 1))
+		mask.Set(0, c, 1)
 	}
-	cfg := Config{MaxEpochs: 2000, Tol: 1e-4, Warm: &Factors{X: cold.X, T: cold.T, L: cold.L}}
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p, cfg, rng.New(uint64(i))); err != nil {
-			b.Fatal(err)
+		if _, ok := FoldIn(ustar, mask, l, Config{}); !ok {
+			b.Fatal("fold-in failed")
 		}
 	}
 }

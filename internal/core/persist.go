@@ -11,6 +11,7 @@ import (
 
 	"vesta/internal/bipartite"
 	"vesta/internal/kmeans"
+	"vesta/internal/metrics"
 )
 
 // knowledgeJSON is the serialization schema for Knowledge. The PCA result is
@@ -58,6 +59,32 @@ func (s *System) setKnowledgeFromJSON(kj knowledgeJSON) error {
 	if len(kj.Centroids) != len(kj.Labels) {
 		return fmt.Errorf("vesta: %d centroids for %d labels", len(kj.Centroids), len(kj.Labels))
 	}
+	if n := len(kj.Graph.Labels()); n != len(kj.Labels) {
+		return fmt.Errorf("vesta: knowledge graph has %d labels, knowledge %d", n, len(kj.Labels))
+	}
+	// Every matrix must be rectangular in the dimensions prediction indexes
+	// it with, so malformed bytes fail here instead of panicking later.
+	featureDim := metrics.NumCorrelations
+	if s.cfg.UseRawFeatures {
+		featureDim = int(metrics.NumSeries)
+	}
+	if len(kj.Kept) == 0 {
+		return fmt.Errorf("vesta: knowledge keeps no features")
+	}
+	for _, f := range kj.Kept {
+		if f < 0 || f >= featureDim {
+			return fmt.Errorf("vesta: kept feature %d outside the %d-feature vector", f, featureDim)
+		}
+	}
+	if err := checkRows("kmeans centroid", kj.Centroids, len(kj.Kept)); err != nil {
+		return err
+	}
+	if err := checkRows("source vector", kj.SourceVecs, len(kj.Kept)); err != nil {
+		return err
+	}
+	if err := checkRows("source membership", kj.SourceMemberships, len(kj.Labels)); err != nil {
+		return err
+	}
 	km := &kmeans.Model{K: len(kj.Centroids), Centroids: kj.Centroids}
 	s.knowledge = &Knowledge{
 		Labels: kj.Labels, Kept: kj.Kept, KM: km, Graph: kj.Graph,
@@ -67,6 +94,16 @@ func (s *System) setKnowledgeFromJSON(kj knowledgeJSON) error {
 	}
 	// Keep the configured K consistent with the loaded model.
 	s.cfg.K = km.K
+	return nil
+}
+
+// checkRows reports an error unless every row has exactly cols entries.
+func checkRows(name string, rows [][]float64, cols int) error {
+	for i, r := range rows {
+		if len(r) != cols {
+			return fmt.Errorf("vesta: %s row %d has %d entries, want %d", name, i, len(r), cols)
+		}
+	}
 	return nil
 }
 

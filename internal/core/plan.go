@@ -1,19 +1,21 @@
 // Predict plan: the per-request cost of the online phase is dominated by
 // work that does not depend on the request at all — rebuilding the CMF
-// source matrices from the knowledge graph, indexing their observed cells,
-// and re-deriving the source-side factors from random initializations over
-// hundreds of SGD epochs. A PredictPlan hoists all of it to snapshot publish
-// time: it is a pure function of (knowledge, config), computed once per
-// Absorb lineage and shared by every snapshot in it (AbsorbTarget only adds
-// a workload node and refits K-Means; the source memberships U and the
-// label-VM layer LV never change after offline training, so the plan stays
-// valid across epochs). The serving layer invalidates implicitly through
-// the (epoch, workloads) consistency token: a new lineage means a new
-// snapshot chain with its own plan holder.
+// source matrices from the knowledge graph and fitting the shared label
+// factors L over hundreds of SGD epochs. A PredictPlan hoists all of it to
+// snapshot publish time: it is a pure function of (knowledge, config),
+// computed once per Absorb lineage and shared by every snapshot in it
+// (AbsorbTarget only adds a workload node and refits K-Means; the source
+// memberships U and the label-VM layer LV never change after offline
+// training, so the plan stays valid across epochs). Each request then folds
+// its target row in against the plan's converged L in closed form
+// (cmf.FoldIn). The serving layer invalidates implicitly through the
+// (epoch, workloads) consistency token: a new lineage means a new snapshot
+// chain with its own plan holder.
 package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"vesta/internal/cmf"
@@ -27,48 +29,47 @@ import (
 const planSalt = 0x7653507265646374 // "VsPredct"
 
 // predictPlan is the precomputed request-independent slice of the online
-// phase: the prepared CMF source problem and its converged source factors,
-// plus the dense label-VM ranking layer. Immutable after construction and
-// safe for concurrent use by any number of predictions.
+// phase: the shared label factors L (labels x latent dim) of a CMF solve over
+// the source relations alone. Immutable after construction and safe for
+// concurrent use by any number of predictions.
 type predictPlan struct {
-	u    *mat.Matrix   // sources x labels membership matrix (U)
-	lv   *mat.Matrix   // labels x vms ranking layer
-	pr   *cmf.Prepared // source problem with an empty target row, cells indexed
-	warm *cmf.Factors  // converged source factors of the plan solve
+	l *mat.Matrix
+	// x, t and epochs are the rest of the plan solve's result: the source
+	// factors and the epoch count. Requests never read them; checkpoints
+	// carry them so the plan field keeps the format earlier releases decode
+	// (see planJSON).
+	x, t   *mat.Matrix
+	epochs int
 }
 
-// buildPlan derives the plan from the trained knowledge: it prepares the
-// source problem once and runs one cold CMF solve over the source relations
-// only (the target row is present but unobserved, so X* stays at its random
-// init and contributes nothing to the fit). The converged X, T, L become the
-// warm seed every subsequent request-scoped solve resumes from.
+// buildPlan derives the plan from the trained knowledge with one cold CMF
+// solve over the source relations only (the target row is present but
+// unobserved, so X* stays at its random init and contributes nothing to the
+// fit). The converged L is what every request folds its target into.
 func (s *System) buildPlan() (*predictPlan, error) {
 	k := s.knowledge
 	if k == nil {
 		return nil, fmt.Errorf("vesta: plan before TrainOffline")
 	}
 	nLabels := len(k.Labels)
-	u := mat.FromRows(k.SourceMemberships)
-	lv := k.Graph.LV()
-	pr, err := cmf.Prepare(cmf.Problem{
-		U: u, V: lv.T(), UStar: mat.New(1, nLabels), Mask: mat.New(1, nLabels),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vesta: preparing plan problem: %w", err)
-	}
-	res, err := pr.Solve(s.planCMFConfig(), rng.New(s.cfg.Seed^planSalt))
+	res, err := cmf.Solve(cmf.Problem{
+		U: mat.FromRows(k.SourceMemberships), V: k.Graph.LV().T(),
+		UStar: mat.New(1, nLabels), Mask: mat.New(1, nLabels),
+	}, s.planCMFConfig(), rng.New(s.cfg.Seed^planSalt))
 	if err != nil {
 		return nil, fmt.Errorf("vesta: plan solve: %w", err)
 	}
-	return &predictPlan{
-		u: u, lv: lv, pr: pr,
-		warm: &cmf.Factors{X: res.X, T: res.T, L: res.L, Epochs: res.Epochs},
-	}, nil
+	for _, v := range res.L.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("vesta: plan solve diverged")
+		}
+	}
+	return &predictPlan{l: res.L, x: res.X, t: res.T, epochs: res.Epochs}, nil
 }
 
-// planCMFConfig is the CMF configuration of both the plan solve and the
-// request-scoped warm solves — identical to the cold transfer configuration,
-// so a warm solve optimizes the same Equation 6 objective.
+// planCMFConfig is the CMF configuration of the plan solve, the request
+// fold-ins and the cold transfer solve alike, so all three optimize the
+// same Equation 6 objective.
 func (s *System) planCMFConfig() cmf.Config {
 	return cmf.Config{
 		LatentDim: s.cfg.LatentDim,
@@ -78,32 +79,37 @@ func (s *System) planCMFConfig() cmf.Config {
 	}
 }
 
-// restorePlan reconstructs a plan from decoded warm factors (a snapshot
-// checkpoint's precomputed-ranking field), revalidating shapes against the
-// knowledge it is about to serve.
-func (s *System) restorePlan(warm *cmf.Factors) (*predictPlan, error) {
+// restorePlan reconstructs a plan from a snapshot checkpoint's plan field,
+// validating every factor's shape against the knowledge it is about to serve
+// before building the matrices.
+func (s *System) restorePlan(pj *planJSON) (*predictPlan, error) {
 	k := s.knowledge
 	if k == nil {
 		return nil, fmt.Errorf("vesta: plan before TrainOffline")
 	}
-	nLabels := len(k.Labels)
-	u := mat.FromRows(k.SourceMemberships)
-	lv := k.Graph.LV()
-	g := s.cfg.LatentDim
-	if warm.X == nil || warm.T == nil || warm.L == nil ||
-		warm.X.Rows != u.Rows || warm.X.Cols != g ||
-		warm.T.Rows != lv.Cols || warm.T.Cols != g ||
-		warm.L.Rows != nLabels || warm.L.Cols != g || warm.Epochs < 0 {
-		return nil, fmt.Errorf("vesta: decoded plan factors do not match knowledge (%d sources, %d labels, %d vms, latent dim %d)",
-			u.Rows, nLabels, lv.Cols, g)
+	factors := []struct {
+		name string
+		rows [][]float64
+		want int
+	}{
+		{"x", pj.X, len(k.SourceMemberships)},
+		{"t", pj.T, len(k.Graph.VMs())},
+		{"l", pj.L, len(k.Labels)},
 	}
-	pr, err := cmf.Prepare(cmf.Problem{
-		U: u, V: lv.T(), UStar: mat.New(1, nLabels), Mask: mat.New(1, nLabels),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vesta: preparing plan problem: %w", err)
+	for _, f := range factors {
+		if len(f.rows) != f.want {
+			return nil, fmt.Errorf("vesta: decoded plan factors %s have %d rows, knowledge needs %d", f.name, len(f.rows), f.want)
+		}
+		if err := checkRows("decoded plan factors "+f.name, f.rows, s.cfg.LatentDim); err != nil {
+			return nil, err
+		}
 	}
-	return &predictPlan{u: u, lv: lv, pr: pr, warm: warm}, nil
+	if pj.Epochs < 0 {
+		return nil, fmt.Errorf("vesta: decoded plan has %d epochs", pj.Epochs)
+	}
+	return &predictPlan{
+		l: mat.FromRows(pj.L), x: mat.FromRows(pj.X), t: mat.FromRows(pj.T), epochs: pj.Epochs,
+	}, nil
 }
 
 // planHolder shares one lazily-built plan across every snapshot of an

@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"vesta/internal/cmf"
+	"vesta/internal/mat"
 	"vesta/internal/oracle"
+	"vesta/internal/rng"
 	"vesta/internal/sim"
 )
 
@@ -28,7 +31,7 @@ func planSnapshot(t *testing.T) *Snapshot {
 	return snap
 }
 
-// TestPredictFastDeterministicAcrossPlanOrigins is the warm-start
+// TestPredictFastDeterministicAcrossPlanOrigins is the fast-path
 // determinism contract: the prediction must be bit-identical whether the
 // plan was built lazily by the first request, eagerly via PreparePlan, or
 // restored from an encoded checkpoint.
@@ -36,7 +39,7 @@ func TestPredictFastDeterministicAcrossPlanOrigins(t *testing.T) {
 	app := mustApp(t, "Spark-lr")
 
 	lazy := planSnapshot(t)
-	fromLazy, err := lazy.PredictFast(app, planMeter(7), false)
+	fromLazy, err := lazy.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,7 @@ func TestPredictFastDeterministicAcrossPlanOrigins(t *testing.T) {
 	if err := eager.PreparePlan(); err != nil {
 		t.Fatal(err)
 	}
-	fromEager, err := eager.PredictFast(app, planMeter(7), false)
+	fromEager, err := eager.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestPredictFastDeterministicAcrossPlanOrigins(t *testing.T) {
 	if decoded.plan.peek() == nil {
 		t.Fatal("decoded snapshot did not restore the precomputed plan")
 	}
-	fromDecoded, err := decoded.PredictFast(app, planMeter(7), false)
+	fromDecoded, err := decoded.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +87,7 @@ func TestPredictFastLeavesColdPathUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.PredictFast(app, planMeter(9), false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.PredictFast(app, planMeter(9), true); err != nil {
+	if _, err := snap.PredictFast(app, planMeter(9)); err != nil {
 		t.Fatal(err)
 	}
 	after, err := snap.Predict(app, planMeter(9))
@@ -105,7 +105,7 @@ func TestPredictFastLeavesColdPathUntouched(t *testing.T) {
 func TestPlanSharedAcrossAbsorb(t *testing.T) {
 	snap := planSnapshot(t)
 	app := mustApp(t, "Spark-lr")
-	pred, err := snap.PredictFast(app, planMeter(7), false)
+	pred, err := snap.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func TestPlanSharedAcrossAbsorb(t *testing.T) {
 	if next.plan != snap.plan {
 		t.Fatal("absorbed snapshot does not share the lineage plan holder")
 	}
-	again, err := next.PredictFast(app, planMeter(7), false)
+	again, err := next.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same plan, new knowledge (K-Means refit): the prediction is still a
 	// pure function of (snapshot, request).
-	repeat, err := next.PredictFast(app, planMeter(7), false)
+	repeat, err := next.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestPlanSharedAcrossAbsorb(t *testing.T) {
 	}
 }
 
-// TestPredictFastAccuracyNearCold bounds the warm-start accuracy drift: the
-// fast path optimizes the same objective from a converged seed, so its
-// predicted times must sit within a few percent of the cold solve's and
-// pick the same best VM. (The Figure 7-style absolute accuracy bench for
-// the approximate mode lives in internal/bench.)
+// TestPredictFastAccuracyNearCold bounds the fold-in's accuracy drift: the
+// fast path places the target against the plan's converged label factors
+// instead of re-solving everything by SGD, so its predicted times must sit
+// within a few percent of the cold solve's and pick the same best VM. (The
+// Figure 7-style absolute accuracy bench lives in internal/bench.)
 func TestPredictFastAccuracyNearCold(t *testing.T) {
 	snap := planSnapshot(t)
 	for _, name := range []string{"Spark-lr", "Spark-kmeans", "Spark-sort"} {
@@ -144,22 +144,20 @@ func TestPredictFastAccuracyNearCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, approx := range []bool{false, true} {
-			fast, err := snap.PredictFast(app, planMeter(7), approx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Best.Name != cold.Best.Name {
-				t.Errorf("%s approx=%v: best VM %s, cold picked %s", name, approx, fast.Best.Name, cold.Best.Name)
-			}
-			if fast.OnlineRuns != cold.OnlineRuns {
-				t.Errorf("%s approx=%v: OnlineRuns %d, cold %d", name, approx, fast.OnlineRuns, cold.OnlineRuns)
-			}
-			for vm, cv := range cold.PredictedSec {
-				fv := fast.PredictedSec[vm]
-				if d := (fv - cv) / cv; d > 0.10 || d < -0.10 {
-					t.Errorf("%s approx=%v: predicted %s drifted %.1f%% from cold", name, approx, vm, d*100)
-				}
+		fast, err := snap.PredictFast(app, planMeter(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Best.Name != cold.Best.Name {
+			t.Errorf("%s: best VM %s, cold picked %s", name, fast.Best.Name, cold.Best.Name)
+		}
+		if fast.OnlineRuns != cold.OnlineRuns {
+			t.Errorf("%s: OnlineRuns %d, cold %d", name, fast.OnlineRuns, cold.OnlineRuns)
+		}
+		for vm, cv := range cold.PredictedSec {
+			fv := fast.PredictedSec[vm]
+			if d := (fv - cv) / cv; d > 0.10 || d < -0.10 {
+				t.Errorf("%s: predicted %s drifted %.1f%% from cold", name, vm, d*100)
 			}
 		}
 	}
@@ -194,11 +192,11 @@ func TestDecodeSnapshotWithoutPlanField(t *testing.T) {
 		t.Fatal("plan appeared from nowhere on a legacy snapshot")
 	}
 	app := mustApp(t, "Spark-lr")
-	want, err := snap.PredictFast(app, planMeter(7), false)
+	want, err := snap.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decoded.PredictFast(app, planMeter(7), false)
+	got, err := decoded.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +238,7 @@ func TestEncodeDeterministicRegardlessOfPlanState(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := planSnapshot(t)
-	if _, err := served.PredictFast(mustApp(t, "Spark-lr"), planMeter(7), false); err != nil {
+	if _, err := served.PredictFast(mustApp(t, "Spark-lr"), planMeter(7)); err != nil {
 		t.Fatal(err)
 	}
 	var after bytes.Buffer
@@ -249,5 +247,137 @@ func TestEncodeDeterministicRegardlessOfPlanState(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("plan state leaked into the encoded bytes")
+	}
+}
+
+// priorPlanEncoding re-encodes snap with the plan field rebuilt the way
+// releases that warm-started serve-time SGD wrote it: the full result of the
+// plan solve — source factors X and T, label factors L and the epoch count,
+// in that field order.
+func priorPlanEncoding(t *testing.T, snap *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	s, k := snap.sys, snap.sys.knowledge
+	res, err := cmf.Solve(cmf.Problem{
+		U: mat.FromRows(k.SourceMemberships), V: k.Graph.LV().T(),
+		UStar: mat.New(1, len(k.Labels)), Mask: mat.New(1, len(k.Labels)),
+	}, s.planCMFConfig(), rng.New(s.cfg.Seed^planSalt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, err := json.Marshal(struct {
+		X      [][]float64 `json:"x"`
+		T      [][]float64 `json:"t"`
+		L      [][]float64 `json:"l"`
+		Epochs int         `json:"epochs"`
+	}{matrixRows(res.X), matrixRows(res.T), matrixRows(res.L), res.Epochs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw["plan"] = prior
+	out, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPlanFieldKeepsPriorFormat: the fold-in reads only L, but checkpoints
+// keep the plan format of releases that warm-started serve-time SGD, so a
+// checkpoint is byte-identical across the upgrade and either binary restarts
+// from the other's. The decoded plan is ready (no plan solve on recovery),
+// predicts exactly like a plan built fresh, and re-encodes to the same bytes.
+func TestPlanFieldKeepsPriorFormat(t *testing.T) {
+	fresh := planSnapshot(t)
+	prior := priorPlanEncoding(t, fresh)
+	var current bytes.Buffer
+	if err := fresh.Encode(&current); err != nil {
+		t.Fatal(err)
+	}
+	// json.Marshal of the generic map drops Encode's trailing newline and
+	// sorts top-level keys; compare after the same normalization.
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(current.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	normalized, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(normalized, prior) {
+		t.Fatal("plan field differs from the prior release's encoding")
+	}
+	decoded, err := DecodeSnapshot(bytes.NewReader(prior), fresh.Config(), fresh.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !decoded.PlanReady() {
+		t.Fatal("plan field was not restored")
+	}
+	for _, name := range []string{"Spark-lr", "Spark-kmeans"} {
+		want, err := fresh.PredictFast(mustApp(t, name), planMeter(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decoded.PredictFast(mustApp(t, name), planMeter(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded-checkpoint prediction differs from the fresh plan's", name)
+		}
+	}
+	var again bytes.Buffer
+	if err := decoded.Encode(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(current.Bytes(), again.Bytes()) {
+		t.Fatal("decoded checkpoint does not re-encode to the same bytes")
+	}
+}
+
+// TestPredictFastFoldInFailureFallsBack: when the fold-in cannot place the
+// target (here the plan's label factors overflow the ridge system), the
+// prediction degrades exactly like a failed cold solve — the raw sandbox
+// memberships, Converged false — instead of erroring or serving NaNs.
+func TestPredictFastFoldInFailureFallsBack(t *testing.T) {
+	snap := planSnapshot(t)
+	app := mustApp(t, "Spark-lr")
+	base, err := snap.PredictFast(app, planMeter(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Converged {
+		t.Fatalf("fixture: the real plan must place %s", app.Name)
+	}
+	huge := snap.plan.peek().l.Clone()
+	for i := range huge.Data {
+		huge.Data[i] = 1e300
+	}
+	snap.plan = &planHolder{done: true, plan: &predictPlan{l: huge}}
+	pred, err := snap.PredictFast(app, planMeter(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.Converged {
+		t.Fatal("failed fold-in reported converged")
+	}
+	k := snap.sys.knowledge
+	if raw := sharpMemberships(k.KM, pred.PrunedVec, k.Sigma); !reflect.DeepEqual(pred.LabelWeights, raw) {
+		t.Fatalf("label weights %v, want the raw sandbox memberships %v", pred.LabelWeights, raw)
+	}
+	cold, err := snap.Predict(app, planMeter(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.OnlineRuns != cold.OnlineRuns || !reflect.DeepEqual(pred.ObservedSec, cold.ObservedSec) {
+		t.Fatal("fallback changed what was measured")
 	}
 }

@@ -116,27 +116,26 @@ func (sn *Snapshot) Predict(target workload.App, meter oracle.Service) (*Predict
 	return sn.sys.PredictOnline(target, meter)
 }
 
-// PredictFast is Predict through the lineage's precomputed plan: the CMF
-// source matrices, their observed-cell indexes, and the converged source
-// factors are reused, so the request-scoped solve warm-starts and typically
-// stabilizes in ~Patience epochs instead of hundreds. The result is a pure
-// function of (snapshot, target, meter stream) exactly like Predict — the
-// same bytes at any concurrency, whether the plan was built eagerly, lazily,
-// or decoded from a checkpoint — but the SGD trajectory differs from the
-// cold solve, so PredictFast and Predict may rank borderline VMs
-// differently. approx opts into the FreezeSource approximate mode: the
-// source factors stay frozen and only the target row is fitted, an order of
-// magnitude cheaper again with a documented accuracy tradeoff (see the
-// accuracy benches in internal/bench).
+// PredictFast is Predict through the lineage's precomputed plan: instead of
+// re-solving the whole CMF problem by SGD, the target row is folded in
+// against the plan's converged label factors in closed form (one small
+// linear solve, no CMF rng). Profiling, calibration and ranking are
+// Predict's. The result is a pure function of (snapshot, target, meter
+// stream) exactly like Predict — the same bytes at any concurrency, whether
+// the plan was built eagerly, lazily, or decoded from a checkpoint — but it
+// is not Predict's SGD trajectory, so PredictFast and Predict may rank
+// borderline VMs differently (accuracy bounds in internal/bench). A fold-in
+// that fails falls back to the sandbox memberships with Converged false,
+// as a failed solve does in Predict.
 //
 // The first PredictFast of a lineage builds the plan (one cold solve);
 // concurrent callers block on that build and then share it.
-func (sn *Snapshot) PredictFast(target workload.App, meter oracle.Service, approx bool) (*Prediction, error) {
+func (sn *Snapshot) PredictFast(target workload.App, meter oracle.Service) (*Prediction, error) {
 	plan, err := sn.plan.get(sn.sys)
 	if err != nil {
 		return nil, err
 	}
-	return sn.sys.predictWith(target, meter, plan, approx)
+	return sn.sys.predictWith(target, meter, plan)
 }
 
 // PreparePlan forces the lineage's plan to exist (the same build PredictFast

@@ -13,7 +13,6 @@ import (
 	"io"
 
 	"vesta/internal/cloud"
-	"vesta/internal/cmf"
 	"vesta/internal/mat"
 )
 
@@ -38,9 +37,12 @@ type snapshotJSON struct {
 }
 
 // planJSON serializes the expensive part of a predictPlan: the converged
-// source factors of the plan solve. The matrices u/lv and the observed-cell
-// indexes are cheap pure functions of the knowledge and are rebuilt on
-// decode rather than stored.
+// factors of the plan solve. Requests read only the label factors L; the
+// source factors X, T and the epoch count ride along so the field keeps the
+// format earlier releases write and read — a checkpoint stays byte-identical
+// across the upgrade, and an earlier binary can still restart from one this
+// release wrote. The matrices u/lv and the observed-cell indexes are cheap
+// pure functions of the knowledge and are not stored.
 type planJSON struct {
 	X      [][]float64 `json:"x"`
 	T      [][]float64 `json:"t"`
@@ -72,10 +74,10 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 	}
 	if plan, err := sn.plan.get(sn.sys); err == nil {
 		sj.Plan = &planJSON{
-			X:      matrixRows(plan.warm.X),
-			T:      matrixRows(plan.warm.T),
-			L:      matrixRows(plan.warm.L),
-			Epochs: plan.warm.Epochs,
+			X:      matrixRows(plan.x),
+			T:      matrixRows(plan.t),
+			L:      matrixRows(plan.l),
+			Epochs: plan.epochs,
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -122,13 +124,7 @@ func DecodeSnapshot(r io.Reader, cfg Config, catalog []cloud.VMType) (*Snapshot,
 		sn.sys.catVersion = sj.CatalogVersion
 	}
 	if sj.Plan != nil {
-		warm := &cmf.Factors{
-			X:      mat.FromRows(sj.Plan.X),
-			T:      mat.FromRows(sj.Plan.T),
-			L:      mat.FromRows(sj.Plan.L),
-			Epochs: sj.Plan.Epochs,
-		}
-		plan, err := sn.sys.restorePlan(warm)
+		plan, err := sn.sys.restorePlan(sj.Plan)
 		if err != nil {
 			return nil, err
 		}

@@ -587,13 +587,13 @@ func project(v []float64, kept []int) []float64 {
 // unrecoverable sandbox run — the target's feature vector and calibration
 // anchor — aborts the prediction, with ErrSandboxFailed.
 func (s *System) PredictOnline(target workload.App, meter oracle.Service) (*Prediction, error) {
-	return s.predictWith(target, meter, nil, false)
+	return s.predictWith(target, meter, nil)
 }
 
 // predictWith is the online phase parameterized by an optional precomputed
 // plan (see plan.go and Snapshot.PredictFast). A nil plan is the historical
 // cold path, bit-identical to every release before plans existed.
-func (s *System) predictWith(target workload.App, meter oracle.Service, plan *predictPlan, approx bool) (*Prediction, error) {
+func (s *System) predictWith(target workload.App, meter oracle.Service, plan *predictPlan) (*Prediction, error) {
 	k := s.knowledge
 	if k == nil {
 		return nil, fmt.Errorf("vesta: PredictOnline before TrainOffline")
@@ -659,7 +659,7 @@ func (s *System) predictWith(target workload.App, meter oracle.Service, plan *pr
 	}
 
 	// Lines 5-12: CMF with shared label factors over U, V, and sparse U*.
-	weights, converged := s.transfer(rawMembership, src, traceKey, plan, approx)
+	weights, converged := s.transfer(rawMembership, src, traceKey, plan)
 
 	// Convergence limitation (Section 5.3): measure how well the target
 	// matches the offline knowledge in correlation space. A target far from
@@ -826,11 +826,12 @@ func (s *System) interpolateScore(v cloud.VMType, ranking []bipartite.VMScore) f
 // transfer builds and solves the CMF problem for one target membership row,
 // returning the completed, re-normalized label weights. traceKey ("" when
 // tracing is off) scopes the per-epoch CMF gauge streams to this target.
-// With a non-nil plan the source matrices and observed-cell indexes come
-// precomputed and the solve warm-starts from the plan's converged factors
-// (FreezeSource when approx); with nil everything is built cold, the
-// historical bit-exact path.
-func (s *System) transfer(rawMembership []float64, src *rng.Source, traceKey string, plan *predictPlan, approx bool) ([]float64, bool) {
+// With a non-nil plan the target row is folded in against the plan's
+// converged label factors in closed form (cmf.FoldIn), drawing no rng; with
+// nil the full problem is solved cold by SGD (Algorithm 1), the historical
+// bit-exact path. Either way a failed solve yields the raw memberships and
+// converged=false.
+func (s *System) transfer(rawMembership []float64, src *rng.Source, traceKey string, plan *predictPlan) ([]float64, bool) {
 	k := s.knowledge
 	nLabels := len(k.Labels)
 
@@ -859,30 +860,26 @@ func (s *System) transfer(rawMembership []float64, src *rng.Source, traceKey str
 	}
 
 	cmfCfg := s.planCMFConfig()
-	if traceKey != "" {
-		cmfCfg.Tracer = s.cfg.Tracer
-		cmfCfg.TraceKey = traceKey + "/cmf"
-	}
-	var res *cmf.Result
-	var err error
+	var filled *mat.Matrix
+	var converged bool
 	if plan != nil {
-		pr, werr := plan.pr.WithTarget(ustar, mask)
-		if werr != nil {
-			return rawMembership, false
-		}
-		cmfCfg.Warm = plan.warm
-		cmfCfg.FreezeSource = approx
-		res, err = pr.Solve(cmfCfg, src.Jump())
+		filled, converged = cmf.FoldIn(ustar, mask, plan.l, cmfCfg)
 	} else {
+		if traceKey != "" {
+			cmfCfg.Tracer = s.cfg.Tracer
+			cmfCfg.TraceKey = traceKey + "/cmf"
+		}
 		u := mat.FromRows(k.SourceMemberships)
 		v := k.Graph.LV().T() // vms x labels
-		res, err = cmf.Solve(cmf.Problem{U: u, V: v, UStar: ustar, Mask: mask}, cmfCfg, src.Jump())
+		if res, err := cmf.Solve(cmf.Problem{U: u, V: v, UStar: ustar, Mask: mask}, cmfCfg, src.Jump()); err == nil {
+			filled, converged = res.Completed, res.Converged
+		}
 	}
-	if err != nil {
+	if filled == nil {
 		return rawMembership, false
 	}
 
-	completed := res.Completed.Row(0)
+	completed := filled.Row(0)
 	// Clamp negatives and re-normalize to a membership distribution; keep
 	// the observed entries authoritative.
 	for i := range completed {
@@ -903,7 +900,7 @@ func (s *System) transfer(rawMembership []float64, src *rng.Source, traceKey str
 	for i := range completed {
 		completed[i] /= total
 	}
-	return completed, res.Converged
+	return completed, converged
 }
 
 // calibrate turns graph scores into absolute time predictions using the

@@ -9,7 +9,7 @@ import (
 // benchServe measures end-to-end request throughput at a given worker count
 // under an arbitrary serving configuration; results/serve.md is produced
 // from this benchmark. Workers and queue are fixed here so arms differ only
-// in the fields the arm is about (cache, cold/warm/approx, memoization).
+// in the fields the arm is about (cache, memoization).
 func benchServe(b *testing.B, workers int, cfg Config) {
 	cfg.Workers = workers
 	cfg.QueueSize = 1024
@@ -56,19 +56,41 @@ func BenchmarkServeWorkers16NoCache(b *testing.B) { benchServe(b, 16, Config{NoC
 // The uncached-arm ladder of DESIGN.md §12, all at 4 workers with the
 // response cache off so every request pays the predict path:
 //
-//	Cold      — the historical arm: cold CMF solve, no profile memoization.
-//	Warm      — precomputed-plan warm start, memoization off.
-//	WarmMemo  — the default serving path (warm start + profile memoization).
-//	Approx    — FreezeSource approximate mode on top of WarmMemo.
-func BenchmarkPredictNoCacheCold(b *testing.B) {
-	benchServe(b, 4, Config{NoCache: true, ColdStart: true, ProfileCacheSize: -1})
+//	Legacy     — Snapshot.Predict called directly: the cold CMF solve of
+//	             Algorithm 1 with an unmemoized meter, outside the server.
+//	FoldIn     — the serving path with profile memoization off.
+//	FoldInMemo — the default serving path (fold-in + profile memoization).
+func BenchmarkPredictNoCacheLegacy(b *testing.B) {
+	benchLegacy(b, 4)
 }
-func BenchmarkPredictNoCacheWarm(b *testing.B) {
+func BenchmarkPredictNoCacheFoldIn(b *testing.B) {
 	benchServe(b, 4, Config{NoCache: true, ProfileCacheSize: -1})
 }
-func BenchmarkPredictNoCacheWarmMemo(b *testing.B) {
+func BenchmarkPredictNoCacheFoldInMemo(b *testing.B) {
 	benchServe(b, 4, Config{NoCache: true})
 }
-func BenchmarkPredictNoCacheApprox(b *testing.B) {
-	benchServe(b, 4, Config{NoCache: true, Approx: true})
+
+// benchLegacy runs benchServe's request mix at the same client concurrency
+// through the legacy arm of the bench-predict gate, so it differs from the
+// serving arms only in the predict algorithm and memoization.
+func benchLegacy(b *testing.B, workers int) {
+	arm := newLegacyArm(b)
+	apps := []string{"Spark-kmeans", "Spark-lr", "Spark-sort", "Spark-grep"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := 0; i < b.N; i++ {
+		req := Request{App: apps[i%len(apps)], Seed: uint64(i%8 + 1), Top: 3}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(req Request) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if _, err := arm.predictBytes(req); err != nil {
+				b.Error(err)
+			}
+		}(req)
+	}
+	wg.Wait()
 }

@@ -173,12 +173,12 @@ func TestHitRateParityAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestColdStartServesHistoricalBytes pins the ColdStart arm to the
-// pre-plan serving path bit-for-bit: a request answered by a ColdStart
-// server (memoization off) equals the body built directly from
-// Snapshot.Predict with the historical per-request meter.
-func TestColdStartServesHistoricalBytes(t *testing.T) {
-	s := newTestServer(t, Config{ColdStart: true, ProfileCacheSize: -1})
+// TestServeMatchesSnapshotPredictFast pins the serving arm to the core fast
+// path bit-for-bit: a request answered by a server (memoization off) equals
+// the body built directly from Snapshot.PredictFast with a fresh
+// per-request meter.
+func TestServeMatchesSnapshotPredictFast(t *testing.T) {
+	s := newTestServer(t, Config{ProfileCacheSize: -1})
 	req := Request{App: "Spark-kmeans", Seed: 3, Top: 4}
 	got, err := s.PredictBytes(context.Background(), req)
 	if err != nil {
@@ -191,7 +191,7 @@ func TestColdStartServesHistoricalBytes(t *testing.T) {
 	}
 	snap := testSnapshot(t)
 	meter := oracle.NewMeter(sim.New(sim.DefaultConfig()), resolved.Seed)
-	pred, err := snap.Predict(app, meter)
+	pred, err := snap.PredictFast(app, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestColdStartServesHistoricalBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("cold-start arm diverged from the historical path:\n got: %s\nwant: %s", got, want)
+		t.Fatalf("serving arm diverged from Snapshot.PredictFast:\n got: %s\nwant: %s", got, want)
 	}
 }
 

@@ -106,48 +106,33 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayModesByteIdentical extends the determinism sweep across the
-// serving arms of DESIGN.md §12: within each arm — cold (historical solve),
-// warm (precomputed-plan fast path), approx (FreezeSource) — replayed bodies
-// are byte-identical at every worker count. The arms are *not* compared to
-// each other (warm and approx legitimately re-rank borderline VMs); what is
-// compared is a server rebuilt from an encoded/decoded snapshot, which must
-// reproduce the warm arm exactly because the plan travels in the encoding.
+// TestReplayModesByteIdentical extends the determinism sweep of DESIGN.md
+// §12 to the plan's origins: the serving arm (plan fold-in) replays
+// byte-identically at every worker count, and a server rebuilt from an
+// encoded/decoded snapshot reproduces it exactly because the plan travels
+// in the encoding.
 func TestReplayModesByteIdentical(t *testing.T) {
 	corpus := replayCorpus()
-	modes := []struct {
-		name string
-		cfg  func(workers int) Config
-	}{
-		{"cold", func(w int) Config { return Config{Workers: w, ColdStart: true} }},
-		{"warm", func(w int) Config { return Config{Workers: w} }},
-		{"approx", func(w int) Config { return Config{Workers: w, Approx: true} }},
-	}
-	warmRef := make(map[string][][]byte)
-	for _, mode := range modes {
-		var reference [][]byte
-		for _, workers := range []int{1, 4, 16} {
-			s := newTestServer(t, mode.cfg(workers))
-			bodies := replay(t, s, corpus)
-			if t.Failed() {
-				t.Fatalf("%s workers=%d: replay failed", mode.name, workers)
-			}
-			if reference == nil {
-				reference = bodies
-				continue
-			}
-			for i := range corpus {
-				if !bytes.Equal(reference[i], bodies[i]) {
-					t.Errorf("%s workers=%d: request %d bytes diverge", mode.name, workers, i)
-				}
+	var reference [][]byte
+	for _, workers := range []int{1, 4, 16} {
+		s := newTestServer(t, Config{Workers: workers})
+		bodies := replay(t, s, corpus)
+		if t.Failed() {
+			t.Fatalf("workers=%d: replay failed", workers)
+		}
+		if reference == nil {
+			reference = bodies
+			continue
+		}
+		for i := range corpus {
+			if !bytes.Equal(reference[i], bodies[i]) {
+				t.Errorf("workers=%d: request %d bytes diverge", workers, i)
 			}
 		}
-		warmRef[mode.name] = reference
 	}
 
 	// A snapshot round-tripped through the codec carries its plan: a server
-	// over the decoded copy serves the warm arm byte-for-byte without ever
-	// re-solving.
+	// over the decoded copy serves the same bytes without ever re-solving.
 	base := testSnapshot(t)
 	var buf bytes.Buffer
 	if err := base.Encode(&buf); err != nil {
@@ -170,8 +155,8 @@ func TestReplayModesByteIdentical(t *testing.T) {
 		t.Fatal("decoded-snapshot replay failed")
 	}
 	for i := range corpus {
-		if !bytes.Equal(warmRef["warm"][i], bodies[i]) {
-			t.Errorf("decoded-snapshot server: request %d diverges from the warm arm", i)
+		if !bytes.Equal(reference[i], bodies[i]) {
+			t.Errorf("decoded-snapshot server: request %d diverges from the fresh server", i)
 		}
 	}
 }

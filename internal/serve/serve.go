@@ -26,11 +26,10 @@
 //     into a single computation (singleflight), so a thundering herd charges
 //     one solve, not N.
 //   - The uncached path itself is the precomputed-plan fast path (DESIGN.md
-//     §12): predictions run through Snapshot.PredictFast (warm-started CMF
-//     over the lineage's converged plan factors) and the default meter
-//     memoizes profiling campaigns, which are pure functions of
-//     (app, vm, seed). Config.ColdStart restores the historical cold-solve
-//     arm bit-for-bit.
+//     §12): predictions run through Snapshot.PredictFast (the target row
+//     folded in closed form against the lineage's converged plan factors)
+//     and the default meter memoizes profiling campaigns, which are pure
+//     functions of (app, vm, seed).
 //   - With a configured write-ahead log (Config.WAL, DESIGN.md §11) the
 //     absorb path is durable: the record is appended and fsynced before the
 //     hot-swap publishes it, so a crash-restarted server recovers every
@@ -144,18 +143,6 @@ type Config struct {
 	// determinism proof).
 	CacheSize int
 	NoCache   bool
-	// ColdStart serves predictions through the historical cold CMF solve
-	// (Snapshot.Predict) instead of the warm-started plan path
-	// (Snapshot.PredictFast). The cold arm is bit-identical to every release
-	// before precomputed plans existed; the default warm arm optimizes the
-	// same objective from the plan's converged factors and may rank
-	// borderline VMs differently (accuracy bounds in internal/bench).
-	ColdStart bool
-	// Approx opts the warm path into CMF's FreezeSource approximate mode:
-	// source factors stay frozen and only the target row is fitted — an
-	// order of magnitude cheaper again, with a documented accuracy tradeoff.
-	// Ignored under ColdStart.
-	Approx bool
 	// ProfileCacheSize bounds the memoized-measurement LRU shared by the
 	// default per-request meters (0: 4096 entries; negative: memoization
 	// off). Only the default meter memoizes — its profiles are pure
@@ -459,13 +446,11 @@ func New(snap *core.Snapshot, cfg Config) (*Server, error) {
 		s.cache = newLRU(cfg.CacheSize)
 		s.flights = make(map[cacheKey]*flight)
 	}
-	if !cfg.ColdStart {
-		// Pay the lineage's one-time plan solve at construction instead of on
-		// the first request (a no-op when the snapshot was decoded from a
-		// checkpoint carrying the plan, or shares an already-built lineage).
-		if err := snap.PreparePlan(); err != nil {
-			return nil, fmt.Errorf("serve: preparing predict plan: %w", err)
-		}
+	// Pay the lineage's one-time plan solve at construction instead of on
+	// the first request (a no-op when the snapshot was decoded from a
+	// checkpoint carrying the plan, or shares an already-built lineage).
+	if err := snap.PreparePlan(); err != nil {
+		return nil, fmt.Errorf("serve: preparing predict plan: %w", err)
 	}
 	s.snap.Store(snap)
 	s.base = cfg.DecodeBase
@@ -647,10 +632,8 @@ func (s *Server) Stage(version string, cand *core.Snapshot) error {
 		return fmt.Errorf("%w: candidate epoch %d rewinds incumbent epoch %d",
 			ErrBadRequest, cand.Epoch(), incumbent.Epoch())
 	}
-	if !s.cfg.ColdStart {
-		if err := cand.PreparePlan(); err != nil {
-			return fmt.Errorf("serve: preparing candidate plan: %w", err)
-		}
+	if err := cand.PreparePlan(); err != nil {
+		return fmt.Errorf("serve: preparing candidate plan: %w", err)
 	}
 	s.staged = &stagedUpgrade{version: version, incumbent: incumbent}
 	if err := s.Publish(cand); err != nil {
@@ -1189,18 +1172,11 @@ func (s *Server) computeLatest(t *task) taskResult {
 	return res
 }
 
-// compute runs the uncached prediction arm for one task: warm-started
-// through the lineage's precomputed plan by default, the historical cold
-// solve under ColdStart.
+// compute runs the uncached prediction for one task through the lineage's
+// precomputed plan.
 func (s *Server) compute(t *task) taskResult {
 	meter := s.meterFor(t.req.Seed)
-	var pred *core.Prediction
-	var err error
-	if s.cfg.ColdStart {
-		pred, err = t.snap.Predict(t.app, meter)
-	} else {
-		pred, err = t.snap.PredictFast(t.app, meter, s.cfg.Approx)
-	}
+	pred, err := t.snap.PredictFast(t.app, meter)
 	if err != nil {
 		return taskResult{err: fmt.Errorf("serve: predict %s: %w", t.req.App, err)}
 	}
