@@ -66,6 +66,15 @@ func (s SeriesID) String() string {
 	return seriesNames[s]
 }
 
+// SeriesSet is a set of sampled series, one bit per SeriesID.
+type SeriesSet uint32
+
+// AllSeries holds every sampled series.
+const AllSeries SeriesSet = 1<<NumSeries - 1
+
+// Has reports whether id is in the set.
+func (s SeriesSet) Has(id SeriesID) bool { return s&(1<<id) != 0 }
+
 // Trace is the sampled record of one workload run, as stored by the paper's
 // Data Collector (5-second average resource utilizations).
 type Trace struct {
@@ -81,8 +90,17 @@ type Trace struct {
 	Dropped int
 }
 
-// Len returns the number of samples in the trace.
-func (t *Trace) Len() int { return len(t.Series[0]) }
+// Len returns the number of samples in the trace: the length of its first
+// present series (a trace sampled for Correlations alone leaves the series
+// outside CorrelationSeries nil).
+func (t *Trace) Len() int {
+	for _, s := range t.Series {
+		if s != nil {
+			return len(s)
+		}
+	}
+	return 0
+}
 
 // Duration returns the wall-clock span covered by the trace.
 func (t *Trace) Duration() float64 { return float64(t.Len()) * t.SampleSec }
@@ -131,7 +149,8 @@ type ExecStats struct {
 // a correlation vector to be computed from a dropout-damaged trace.
 const minCompleteSamples = 3
 
-// hasNaNSample reports whether any series contains a NaN sample.
+// hasNaNSample reports whether any series contains a NaN sample. Absent
+// (nil) series have no samples to check.
 func hasNaNSample(t *Trace) bool {
 	for id := SeriesID(0); id < NumSeries; id++ {
 		for _, v := range t.Series[id] {
@@ -144,14 +163,15 @@ func hasNaNSample(t *Trace) bool {
 }
 
 // completeSamples returns a copy of t containing only the samples that are
-// NaN-free across all series (listwise deletion of collector-dropout gaps).
+// NaN-free across all present series (listwise deletion of collector-dropout
+// gaps). Absent (nil) series stay absent in the copy.
 func completeSamples(t *Trace) *Trace {
 	n := t.Len()
 	keep := make([]int, 0, n)
 sample:
 	for i := 0; i < n; i++ {
 		for id := SeriesID(0); id < NumSeries; id++ {
-			if math.IsNaN(t.Series[id][i]) {
+			if t.Series[id] != nil && math.IsNaN(t.Series[id][i]) {
 				continue sample
 			}
 		}
@@ -159,6 +179,9 @@ sample:
 	}
 	out := &Trace{SampleSec: t.SampleSec, Partial: t.Partial, Dropped: n - len(keep)}
 	for id := SeriesID(0); id < NumSeries; id++ {
+		if t.Series[id] == nil {
+			continue
+		}
 		s := make([]float64, len(keep))
 		for j, i := range keep {
 			s[j] = t.Series[id][i]
@@ -168,14 +191,17 @@ sample:
 	return out
 }
 
-// sum returns a pointwise sum of two series.
-func sum(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
+// sumInto stores the pointwise sum of a and b in dst.
+func sumInto(dst, a, b []float64) {
+	for i := range dst {
+		dst[i] = a[i] + b[i]
 	}
-	return out
 }
+
+// stackSamples bounds the traces whose disk and network sums Correlations
+// keeps on the stack; the simulator's traces (at most 513 samples) all fit,
+// so correlating one allocates nothing.
+const stackSamples = 1024
 
 // Correlation feature indices — the 10 high-level similarities of Table 1.
 const (
@@ -249,11 +275,18 @@ func boundedRatio(a, b float64) float64 {
 	return (a - b) / (a + b)
 }
 
+// CorrelationSeries is the set of sampled series Correlations reads. Every
+// other series can be perturbed or left absent (nil) without changing one
+// bit of the vector (TestCorrelationSeriesIsExact), so a collector that only
+// needs the vector samples these nine series alone.
+const CorrelationSeries SeriesSet = 1<<CPUUser | 1<<RAMUsed | 1<<BufferUsed | 1<<CacheUsed |
+	1<<DiskRead | 1<<DiskWrite | 1<<NetSend | 1<<NetRecv | 1<<TasksSyncStep
+
 // Correlations derives the Table 1 feature vector from a run trace and its
 // execution stats. Resource correlations are Pearson coefficients between
 // the relevant sampled series; execution correlations are bounded ratios of
 // the scalar execution metrics (both normalized to [-1, 1] like the paper's
-// correlation values).
+// correlation values). It reads only the series in CorrelationSeries.
 func Correlations(tr *Trace, ex ExecStats) CorrVector {
 	// Collector dropout leaves NaN samples; correlate over the complete
 	// samples only (listwise deletion). Fewer than minCompleteSamples
@@ -270,8 +303,16 @@ func Correlations(tr *Trace, ex ExecStats) CorrVector {
 			return c
 		}
 	}
-	disk := sum(tr.Series[DiskRead], tr.Series[DiskWrite])
-	net := sum(tr.Series[NetSend], tr.Series[NetRecv])
+	n := tr.Len()
+	var buf [2 * stackSamples]float64
+	var disk, net []float64
+	if n <= stackSamples {
+		disk, net = buf[:n], buf[stackSamples:stackSamples+n]
+	} else {
+		disk, net = make([]float64, n), make([]float64, n)
+	}
+	sumInto(disk, tr.Series[DiskRead], tr.Series[DiskWrite])
+	sumInto(net, tr.Series[NetSend], tr.Series[NetRecv])
 
 	var c CorrVector
 	c[CPUToMemory] = stats.Pearson(tr.Series[CPUUser], tr.Series[RAMUsed])

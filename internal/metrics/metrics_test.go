@@ -232,3 +232,86 @@ func TestCorrelationsStableUnderNoise(t *testing.T) {
 		t.Fatalf("noise destroyed strong correlations: %v", c)
 	}
 }
+
+// TestCorrelationSeriesIsExact pins CorrelationSeries to exactly the series
+// Correlations reads: perturbing or removing any series outside it leaves
+// the vector bit-identical (on clean and dropout-damaged traces alike), and
+// perturbing any series inside it changes the vector.
+func TestCorrelationSeriesIsExact(t *testing.T) {
+	ex := ExecStats{TasksCompute: 12, TasksComm: 7, TasksSync: 5,
+		DataPerCycle: 0.7, DataPerIteration: 2, DataPerParallelism: 0.5}
+	base := func(dropout bool) *Trace {
+		src := rng.New(7)
+		tr := syntheticTrace(60)
+		for id := SeriesID(0); id < NumSeries; id++ {
+			for i := range tr.Series[id] {
+				tr.Series[id][i] += src.Norm(0, 0.03)
+			}
+		}
+		if dropout {
+			for _, i := range []int{3, 17, 40} {
+				for id := SeriesID(0); id < NumSeries; id++ {
+					tr.Series[id][i] = math.NaN()
+				}
+				tr.Dropped++
+			}
+		}
+		return tr
+	}
+	sameVec := func(a, b CorrVector) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	inside := 0
+	for _, dropout := range []bool{false, true} {
+		want := Correlations(base(dropout), ex)
+		if !want.Valid() {
+			t.Fatalf("dropout=%v: base vector invalid: %v", dropout, want)
+		}
+		for id := SeriesID(0); id < NumSeries; id++ {
+			src := rng.New(uint64(id) + 100)
+			tr := base(dropout)
+			for i, v := range tr.Series[id] {
+				if !math.IsNaN(v) {
+					tr.Series[id][i] = v + src.Norm(0, 0.2)
+				}
+			}
+			got := Correlations(tr, ex)
+			if CorrelationSeries.Has(id) {
+				inside++
+				if sameVec(got, want) {
+					t.Errorf("dropout=%v: perturbing %v (in CorrelationSeries) left the vector unchanged", dropout, id)
+				}
+				continue
+			}
+			if !sameVec(got, want) {
+				t.Errorf("dropout=%v: perturbing %v (outside CorrelationSeries) changed the vector", dropout, id)
+			}
+			tr.Series[id] = nil
+			if got := Correlations(tr, ex); !sameVec(got, want) {
+				t.Errorf("dropout=%v: removing %v (outside CorrelationSeries) changed the vector", dropout, id)
+			}
+		}
+		// Every series outside the set absent at once: the lean trace a
+		// profile's later repeats sample.
+		lean := base(dropout)
+		for id := SeriesID(0); id < NumSeries; id++ {
+			if !CorrelationSeries.Has(id) {
+				lean.Series[id] = nil
+			}
+		}
+		if lean.Len() != 60 {
+			t.Fatalf("lean trace Len = %d, want 60", lean.Len())
+		}
+		if got := Correlations(lean, ex); !sameVec(got, want) {
+			t.Errorf("dropout=%v: lean trace vector %v, want %v", dropout, got, want)
+		}
+	}
+	if inside != 2*9 {
+		t.Fatalf("CorrelationSeries holds %d series, want the 9 Table 1 reads", inside/2)
+	}
+}

@@ -87,13 +87,23 @@ func (s *Source) Range(lo, hi float64) float64 {
 }
 
 // Norm returns a normally distributed float64 with mean mu and standard
-// deviation sigma, using the Box-Muller transform.
+// deviation sigma, using the Box-Muller transform (cosine branch). It
+// consumes exactly two Uint64 draws, whatever mu and sigma are; SkipNorm
+// relies on that.
 func (s *Source) Norm(mu, sigma float64) float64 {
 	// Guard against log(0).
 	u1 := 1 - s.Float64()
 	u2 := s.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mu + sigma*z
+}
+
+// SkipNorm advances the stream exactly as one Norm call would, without
+// computing the sample: a caller that discards a normal draw skips it and
+// every later draw stays bit-identical.
+func (s *Source) SkipNorm() {
+	s.Uint64()
+	s.Uint64()
 }
 
 // LogNorm returns a log-normally distributed float64 whose underlying normal

@@ -13,7 +13,6 @@ package sim
 //     run would have measured.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -56,6 +55,14 @@ func (s *Simulator) RunChecked(app workload.App, vm cloud.VMType, seed uint64) (
 // the fault decision without touching the physics stream.
 func (s *Simulator) RunAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64) (RunResult, error) {
 	f := s.cfg.Chaos.ForRun(app.Name, vm.Name, seed, attempt)
+	return s.attempt(app, vm, seed, attempt, f, nil, new(metrics.Trace), metrics.AllSeries)
+}
+
+// attempt runs one execution under the fault decision f: the physics on the
+// phase buffer (see run), then the trace of the series in keep sampled into
+// tr (see sampleTrace) unless the cluster never launched.
+func (s *Simulator) attempt(app workload.App, vm cloud.VMType, seed, attempt uint64, f chaos.RunFaults,
+	phases []Phase, tr *metrics.Trace, keep metrics.SeriesSet) (RunResult, error) {
 	if f.LaunchFailure {
 		// The cluster never came up: only launch (and plan) overhead burned,
 		// no physics executed, no trace collected.
@@ -72,7 +79,7 @@ func (s *Simulator) RunAttempt(app workload.App, vm cloud.VMType, seed, attempt 
 			}
 	}
 
-	r, src := s.run(app, vm, seed)
+	r, src := s.run(app, vm, seed, phases)
 
 	if f.StragglerFactor != 1 {
 		for i := range r.Phases {
@@ -96,7 +103,7 @@ func (s *Simulator) RunAttempt(app workload.App, vm cloud.VMType, seed, attempt 
 	}
 	if kill != chaos.None {
 		truncateRun(&r, frac)
-		r.Trace = s.sampleTrace(r.Phases, src)
+		r.Trace = s.sampleTrace(tr, r.Phases, &src, keep)
 		r.Trace.Partial = true
 		applyDropout(r.Trace, f)
 		s.faultEvent(app.Name, vm.Name, seed, attempt, kill,
@@ -106,7 +113,7 @@ func (s *Simulator) RunAttempt(app workload.App, vm cloud.VMType, seed, attempt 
 		}
 	}
 
-	r.Trace = s.sampleTrace(r.Phases, src)
+	r.Trace = s.sampleTrace(tr, r.Phases, &src, keep)
 	applyDropout(r.Trace, f)
 	if r.Trace.Dropped > 0 {
 		s.faultEvent(app.Name, vm.Name, seed, attempt, chaos.SamplerDropout,
@@ -168,7 +175,7 @@ func truncateRun(r *RunResult, frac float64) {
 
 // applyDropout NaNs out whole samples at the decision's per-sample rate,
 // using the decision's own dropout stream so the physics and sampling
-// streams are untouched.
+// streams are untouched. Absent (nil) series are skipped.
 func applyDropout(tr *metrics.Trace, f chaos.RunFaults) {
 	if tr == nil || f.DropoutRate <= 0 {
 		return
@@ -178,7 +185,9 @@ func applyDropout(tr *metrics.Trace, f chaos.RunFaults) {
 	for i := 0; i < n; i++ {
 		if dsrc.Float64() < f.DropoutRate {
 			for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
-				tr.Series[id][i] = math.NaN()
+				if tr.Series[id] != nil {
+					tr.Series[id][i] = math.NaN()
+				}
 			}
 			tr.Dropped++
 		}
@@ -194,61 +203,5 @@ func applyDropout(tr *metrics.Trace, f chaos.RunFaults) {
 // with the last *RunError. With a nil chaos plan the result is
 // byte-identical to ProfileRun.
 func (s *Simulator) ProfileAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64) (Profile, error) {
-	var (
-		runs    []float64
-		lats    []float64
-		thr     float64
-		first   RunResult
-		haveRun bool
-		corrSum metrics.CorrVector
-		corrN   int
-		failed  int
-		wasted  float64
-		lastErr error
-	)
-	for i := 0; i < s.cfg.Repeats; i++ {
-		r, err := s.RunAttempt(app, vm, seed+uint64(i)*runSeedStride, attempt)
-		if err != nil {
-			failed++
-			var re *RunError
-			if errors.As(err, &re) {
-				wasted += re.WastedSec
-			}
-			lastErr = err
-			continue
-		}
-		runs = append(runs, r.Seconds)
-		lats = append(lats, r.LatencyMS)
-		thr += r.ThroughputMBps
-		if !haveRun {
-			first, haveRun = r, true
-		}
-		cv := metrics.Correlations(r.Trace, r.Exec)
-		if cv.Valid() {
-			for j := range corrSum {
-				corrSum[j] += cv[j]
-			}
-			corrN++
-		}
-	}
-	if len(runs) == 0 {
-		return Profile{
-			App: app, VM: vm, Nodes: s.cfg.Nodes,
-			FailedRuns: failed, WastedSec: wasted,
-		}, lastErr
-	}
-	if corrN > 0 {
-		for j := range corrSum {
-			corrSum[j] /= float64(corrN)
-		}
-	} else {
-		for j := range corrSum {
-			corrSum[j] = math.NaN()
-		}
-	}
-	return Profile{
-		App: app, VM: vm, Nodes: s.cfg.Nodes,
-		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
-		FailedRuns: failed, WastedSec: wasted,
-	}.withTiming(s.summarize(vm, runs, lats, thr)), nil
+	return s.profile(app, vm, seed, attempt, s.cfg.Chaos)
 }

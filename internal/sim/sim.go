@@ -28,8 +28,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"vesta/internal/chaos"
 	"vesta/internal/cloud"
@@ -222,21 +224,23 @@ const burstThrottle = 0.55
 // fails: pathological configurations (tiny memory, huge data) produce long
 // execution times, exactly like an overloaded real cluster.
 func (s *Simulator) Run(app workload.App, vm cloud.VMType, seed uint64) RunResult {
-	r, src := s.run(app, vm, seed)
-	r.Trace = s.sampleTrace(r.Phases, src)
+	r, src := s.run(app, vm, seed, nil)
+	r.Trace = s.sampleTrace(new(metrics.Trace), r.Phases, &src, metrics.AllSeries)
 	return r
 }
 
 // RunTimed is Run without the metric trace — the fast path for repeated
 // measurements where only the execution time matters.
 func (s *Simulator) RunTimed(app workload.App, vm cloud.VMType, seed uint64) RunResult {
-	r, _ := s.run(app, vm, seed)
+	r, _ := s.run(app, vm, seed, nil)
 	return r
 }
 
 // run computes the physics of one execution and returns the RNG positioned
-// for trace sampling.
-func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64) (RunResult, *rng.Source) {
+// for trace sampling. The result's phases live in buf when it has room for
+// the run's 4*stages phases (a profile's repeats share one buffer) and in a
+// new slice of exactly that size otherwise.
+func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64, buf []Phase) (RunResult, rng.Source) {
 	src := rng.New(seed ^ hashString(app.Name) ^ hashString(vm.Name))
 	p := paramsFor(app.Framework)
 	d := app.Demand
@@ -295,7 +299,10 @@ func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64) (RunResu
 	shuffleVolPerStage := d.ShufflePerGB * data * iters / stages
 	outputVol := d.OutputPerGB * data
 
-	var phases []Phase
+	phases := buf[:0]
+	if cap(buf) < 4*int(stages) {
+		phases = make([]Phase, 0, 4*int(stages))
+	}
 	totalCPUWork := 0.0 // core-seconds actually consumed, for burst modeling
 
 	for st := 0; st < int(stages); st++ {
@@ -436,12 +443,11 @@ func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64) (RunResu
 		MemPressure:    pressure,
 		LatencyMS:      latencyMS,
 		ThroughputMBps: throughput,
-	}, src
+	}, *src
 }
 
-// runSeedStride spaces the per-repeat seeds of a profile; ProfileRun and
-// ProfileAttempt must use the same stride so a fault-free checked profile is
-// byte-identical to the unchecked one.
+// runSeedStride spaces the per-repeat seeds of a profile; ProfileTimed must
+// use the same stride as the repeat loop so its times match ProfileRun's.
 const runSeedStride = 0x9e37
 
 // Timing is the time-only summary of the repeated-measurement protocol:
@@ -487,45 +493,107 @@ func (p Profile) withTiming(t Timing) Profile {
 }
 
 // ProfileRun performs the paper's full measurement protocol: Repeats runs,
-// P90 execution time, cost at P90, and the metric trace of the first run.
+// P90 execution time, cost at P90, the metric trace of the first run and the
+// correlation vector averaged over all runs.
 func (s *Simulator) ProfileRun(app workload.App, vm cloud.VMType, seed uint64) Profile {
-	runs := make([]float64, s.cfg.Repeats)
-	lats := make([]float64, s.cfg.Repeats)
-	thr := 0.0
-	var first RunResult
-	var corrSum metrics.CorrVector
+	p, _ := s.profile(app, vm, seed, 0, nil)
+	return p
+}
+
+// profile is the repeat loop behind ProfileRun (plan nil: no run can fail)
+// and ProfileAttempt. Repeats are lean: until one completes, a repeat
+// samples every series into the trace the profile keeps; every later repeat
+// feeds only the correlation vector, so it samples only
+// metrics.CorrelationSeries into a scratch trace and skips the other
+// series' draws. All repeats share one phase buffer. Neither buffer is
+// reachable from the returned Profile.
+func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uint64, plan *chaos.Plan) (Profile, error) {
+	var (
+		runs    = make([]float64, 0, s.cfg.Repeats)
+		lats    = make([]float64, 0, s.cfg.Repeats)
+		thr     float64
+		first   RunResult
+		haveRun bool
+		corrSum metrics.CorrVector
+		corrN   int
+		failed  int
+		wasted  float64
+		lastErr error
+		phases  []Phase
+		kept    = new(metrics.Trace)
+		scratch metrics.Trace
+	)
+	if s.cfg.Repeats > 1 {
+		// Room for the longest possible trace, so no repeat reallocates.
+		reserveTrace(&scratch, metrics.CorrelationSeries, maxTraceSamples+1)
+	}
 	for i := 0; i < s.cfg.Repeats; i++ {
-		r := s.Run(app, vm, seed+uint64(i)*runSeedStride)
-		runs[i] = r.Seconds
-		lats[i] = r.LatencyMS
+		runSeed := seed + uint64(i)*runSeedStride
+		tr, keep := &scratch, metrics.CorrelationSeries
+		if !haveRun {
+			tr, keep = kept, metrics.AllSeries
+		}
+		f := plan.ForRun(app.Name, vm.Name, runSeed, attempt)
+		r, err := s.attempt(app, vm, runSeed, attempt, f, phases, tr, keep)
+		if cap(r.Phases) > cap(phases) {
+			phases = r.Phases
+		}
+		if err != nil {
+			failed++
+			var re *RunError
+			if errors.As(err, &re) {
+				wasted += re.WastedSec
+			}
+			lastErr = err
+			continue
+		}
+		runs = append(runs, r.Seconds)
+		lats = append(lats, r.LatencyMS)
 		thr += r.ThroughputMBps
-		if i == 0 {
-			first = r
+		if !haveRun {
+			first, haveRun = r, true
 		}
 		cv := metrics.Correlations(r.Trace, r.Exec)
-		for j := range corrSum {
-			corrSum[j] += cv[j]
+		if cv.Valid() {
+			for j := range corrSum {
+				corrSum[j] += cv[j]
+			}
+			corrN++
 		}
 	}
+	if len(runs) == 0 {
+		return Profile{
+			App: app, VM: vm, Nodes: s.cfg.Nodes,
+			FailedRuns: failed, WastedSec: wasted,
+		}, lastErr
+	}
 	for j := range corrSum {
-		corrSum[j] /= float64(s.cfg.Repeats)
+		if corrN > 0 {
+			corrSum[j] /= float64(corrN)
+		} else {
+			corrSum[j] = math.NaN()
+		}
 	}
 	return Profile{
 		App: app, VM: vm, Nodes: s.cfg.Nodes,
 		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
-	}.withTiming(s.summarize(vm, runs, lats, thr))
+		FailedRuns: failed, WastedSec: wasted,
+	}.withTiming(s.summarize(vm, runs, lats, thr)), nil
 }
 
 // ProfileTimed is ProfileRun without the metric traces: the same repeats
-// over the same per-repeat seeds, timed with RunTimed. The physics finishes
-// before trace sampling starts, so every field equals ProfileRun's bit for
-// bit at a fraction of the cost. Use it wherever only times are read.
+// over the same per-repeat seeds, timed with RunTimed's physics on one
+// shared phase buffer. The physics finishes before trace sampling starts,
+// so every field equals ProfileRun's bit for bit at a fraction of the cost.
+// Use it wherever only times are read.
 func (s *Simulator) ProfileTimed(app workload.App, vm cloud.VMType, seed uint64) Timing {
 	runs := make([]float64, s.cfg.Repeats)
 	lats := make([]float64, s.cfg.Repeats)
 	thr := 0.0
+	var phases []Phase
 	for i := 0; i < s.cfg.Repeats; i++ {
-		r := s.RunTimed(app, vm, seed+uint64(i)*runSeedStride)
+		r, _ := s.run(app, vm, seed+uint64(i)*runSeedStride, phases)
+		phases = r.Phases
 		runs[i] = r.Seconds
 		lats[i] = r.LatencyMS
 		thr += r.ThroughputMBps
@@ -668,9 +736,41 @@ func clamp01(v float64) float64 {
 // structure, not on the raw sample count.
 const maxTraceSamples = 512
 
-// sampleTrace walks the phase list emitting one sample per SampleSec with
-// multiplicative noise, guaranteeing at least one sample per run.
-func (s *Simulator) sampleTrace(phases []Phase, src *rng.Source) *metrics.Trace {
+// reserveTrace empties tr: each series in keep gets room for n samples
+// (carved from one new slab unless every one of them already has it) and
+// every other series is left absent (nil).
+func reserveTrace(tr *metrics.Trace, keep metrics.SeriesSet, n int) {
+	room := true
+	for id := range tr.Series {
+		if keep.Has(metrics.SeriesID(id)) && cap(tr.Series[id]) < n {
+			room = false
+		}
+	}
+	var slab []float64
+	if !room {
+		slab = make([]float64, bits.OnesCount32(uint32(keep))*n)
+	}
+	*tr = metrics.Trace{Series: tr.Series}
+	for id := range tr.Series {
+		switch {
+		case !keep.Has(metrics.SeriesID(id)):
+			tr.Series[id] = nil
+		case room:
+			tr.Series[id] = tr.Series[id][:0]
+		default:
+			tr.Series[id], slab = slab[:0:n], slab[n:]
+		}
+	}
+}
+
+// sampleTrace fills tr with the run's metric trace, walking the phase list
+// and emitting one sample per SampleSec with multiplicative noise,
+// guaranteeing at least one sample per run. Only the series in keep are
+// sampled; for every other series the stream skips the draws a sample would
+// take, so the kept series are bit-identical to a full trace's, and the
+// series stays absent (nil). tr is sized once for the whole run and
+// returned.
+func (s *Simulator) sampleTrace(tr *metrics.Trace, phases []Phase, src *rng.Source, keep metrics.SeriesSet) *metrics.Trace {
 	interval := s.cfg.SampleSec
 	total := 0.0
 	for _, ph := range phases {
@@ -679,7 +779,13 @@ func (s *Simulator) sampleTrace(phases []Phase, src *rng.Source) *metrics.Trace 
 	if total/interval > maxTraceSamples {
 		interval = total / maxTraceSamples
 	}
-	tr := &metrics.Trace{SampleSec: interval}
+	// One sample per window, plus one for rounding at the last boundary.
+	n := maxTraceSamples + 1
+	if w := total / interval; w < maxTraceSamples {
+		n = int(math.Ceil(math.Max(w, 0))) + 1
+	}
+	reserveTrace(tr, keep, n)
+	tr.SampleSec = interval
 
 	// The collector reports average utilizations per sampling window
 	// (Section 4.1: "average resource utilizations" every 5 seconds), so
@@ -689,6 +795,11 @@ func (s *Simulator) sampleTrace(phases []Phase, src *rng.Source) *metrics.Trace 
 	// sample instead of aliasing between all-or-nothing.
 	emit := func(levels [metrics.NumSeries]float64) {
 		for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
+			if !keep.Has(id) {
+				src.SkipNorm()
+				src.SkipNorm()
+				continue
+			}
 			v := levels[id]
 			// +/-8% relative noise plus a small absolute floor keeps
 			// constant series from producing degenerate zero-variance
@@ -723,6 +834,9 @@ func (s *Simulator) sampleTrace(phases []Phase, src *rng.Source) *metrics.Trace 
 			dur := sliceEnd - cursor
 			if dur > 0 {
 				for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
+					if !keep.Has(id) {
+						continue
+					}
 					switch id {
 					case metrics.TasksComputeStep, metrics.TasksCommStep, metrics.TasksSyncStep:
 						// Step-task counts come from the framework's
@@ -751,6 +865,9 @@ func (s *Simulator) sampleTrace(phases []Phase, src *rng.Source) *metrics.Trace 
 		}
 		if covered > 0 {
 			for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
+				if !keep.Has(id) {
+					continue
+				}
 				mix[id] /= covered
 			}
 			emit(mix)

@@ -301,23 +301,65 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
+// benchApps are the profile benchmarks' arms on m5.xlarge: Spark-lr, the
+// serving benchmark's typical request, and Hadoop-kmeans, the longest
+// Hadoop/Hive trace (about 120 samples), so trace-length regressions show.
+var benchApps = []string{"Spark-lr", "Hadoop-kmeans"}
+
+// Benchmark sinks keep the measured calls from being optimized away.
+var (
+	profileSink Profile
+	timingSink  Timing
+)
+
 func BenchmarkProfileRun(b *testing.B) {
 	s := New(DefaultConfig())
-	a, _ := workload.ByName("Spark-lr")
 	vm := byName["m5.xlarge"]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.ProfileRun(a, vm, uint64(i))
+	for _, name := range benchApps {
+		a, _ := workload.ByName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				profileSink = s.ProfileRun(a, vm, uint64(i))
+			}
+		})
 	}
 }
 
 func BenchmarkProfileTimed(b *testing.B) {
 	s := New(DefaultConfig())
-	a, _ := workload.ByName("Spark-lr")
 	vm := byName["m5.xlarge"]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.ProfileTimed(a, vm, uint64(i))
+	for _, name := range benchApps {
+		a, _ := workload.ByName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				timingSink = s.ProfileTimed(a, vm, uint64(i))
+			}
+		})
+	}
+}
+
+// TestProfileAllocsIndependentOfRepeats is the allocation guard of the lean
+// repeat loop: a profile's repeats share their phase buffer, scratch trace
+// and correlation sums, so ProfileRun and ProfileTimed allocate no more at
+// 40 repeats than at 10.
+func TestProfileAllocsIndependentOfRepeats(t *testing.T) {
+	vm := byName["m5.xlarge"]
+	for _, name := range benchApps {
+		a := app(t, name)
+		allocs := func(repeats int, profile func(s *Simulator)) float64 {
+			s := New(Config{Repeats: repeats})
+			return testing.AllocsPerRun(5, func() { profile(s) })
+		}
+		run := func(s *Simulator) { s.ProfileRun(a, vm, 3) }
+		timed := func(s *Simulator) { s.ProfileTimed(a, vm, 3) }
+		if r10, r40 := allocs(10, run), allocs(40, run); r40 > r10 {
+			t.Errorf("%s: ProfileRun allocates %v times at 40 repeats, %v at 10", name, r40, r10)
+		}
+		if t10, t40 := allocs(10, timed), allocs(40, timed); t40 > t10 {
+			t.Errorf("%s: ProfileTimed allocates %v times at 40 repeats, %v at 10", name, t40, t10)
+		}
 	}
 }
 
