@@ -107,7 +107,11 @@ func (sn *Snapshot) VM(name string) (cloud.VMType, bool) {
 	return v, ok
 }
 
-// Predict runs the online predicting phase against the frozen knowledge.
+// Predict runs the online predicting phase against the frozen knowledge
+// with the cold SGD solve of Algorithm 1. It is the offline/report arm —
+// the solve System.PredictOnline runs for `vesta predict` and every
+// results/*.md experiment — while serving (/predict and /absorb alike) goes
+// through PredictFast.
 // It is read-only with respect to the snapshot: any number of Predict calls
 // may run concurrently with each other and with Absorb on the same snapshot.
 // For a fixed (snapshot, target, meter stream) the prediction is

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -68,6 +69,40 @@ func BenchmarkPredictNoCacheFoldIn(b *testing.B) {
 }
 func BenchmarkPredictNoCacheFoldInMemo(b *testing.B) {
 	benchServe(b, 4, Config{NoCache: true})
+}
+
+// BenchmarkAbsorbApp measures one POST /absorb without a WAL: placing the
+// target (profiling and the plan fold-in), the K-Means refit and the
+// copy-on-write publish. memo-cold gives every absorb a fresh seed, so each
+// pays its whole profiling campaign; memo-warm repeats a request whose
+// profiles the memo already holds.
+func BenchmarkAbsorbApp(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		seed func(i int) uint64
+	}{
+		{"memo-cold", func(i int) uint64 { return uint64(i + 2) }},
+		{"memo-warm", func(int) uint64 { return 1 }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			s, err := New(testSnapshot(b), Config{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.PredictBytes(context.Background(), Request{App: "Spark-kmeans", Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := AbsorbRequest{Name: "bench-" + strconv.Itoa(i), App: "Spark-kmeans", Seed: arm.seed(i)}
+				if _, err := s.AbsorbApp(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // benchLegacy runs benchServe's request mix at the same client concurrency

@@ -26,10 +26,11 @@
 //     into a single computation (singleflight), so a thundering herd charges
 //     one solve, not N.
 //   - The uncached path itself is the precomputed-plan fast path (DESIGN.md
-//     §12): predictions run through Snapshot.PredictFast (the target row
-//     folded in closed form against the lineage's converged plan factors)
-//     and the default meter memoizes profiling campaigns, which are pure
-//     functions of (app, vm, seed).
+//     §12): predictions — and the target placement behind POST /absorb —
+//     run through Snapshot.PredictFast (the target row folded in closed
+//     form against the lineage's converged plan factors) and the default
+//     meter memoizes profiling campaigns, which are pure functions of
+//     (app, vm, seed).
 //   - With a configured write-ahead log (Config.WAL, DESIGN.md §11) the
 //     absorb path is durable: the record is appended and fsynced before the
 //     hot-swap publishes it, so a crash-restarted server recovers every
@@ -830,6 +831,14 @@ type AbsorbResponse struct {
 // against the current snapshot and absorbs the completed target — the
 // control-plane flow behind POST /absorb. It bypasses the admission queue
 // (absorbs are rare and serialized) but honours shutdown.
+//
+// The target is placed exactly as /predict places it: Snapshot.PredictFast
+// through the memoized meter, never the cold SGD solve. That is safe
+// because the absorbed label weights land only in the graph's
+// workload→label layer, which no prediction reads (ranking reads label→VM,
+// the fold-in reads the plan's factors, and the K-Means refit reads the
+// pruned vector, which both arms compute before the solve), so every
+// response after the absorb is the one the SGD weights would give.
 func (s *Server) AbsorbApp(req AbsorbRequest) (*AbsorbResponse, error) {
 	if s.cfg.ReadOnly {
 		return nil, fmt.Errorf("%w: absorbs arrive via replication", ErrReadOnly)
@@ -851,7 +860,7 @@ func (s *Server) AbsorbApp(req AbsorbRequest) (*AbsorbResponse, error) {
 	if snap.HasWorkload(req.Name) {
 		return nil, fmt.Errorf("%w: %q", ErrConflict, req.Name)
 	}
-	pred, err := snap.Predict(app, s.meterFor(preq.Seed))
+	pred, err := snap.PredictFast(app, s.meterFor(preq.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("serve: absorb %s: %w", req.App, err)
 	}

@@ -197,28 +197,35 @@ var rows = []appRow{
 	{30, "Spark-count", Spark, "count", Micro, BigDataBench, Target, 30},
 }
 
-// All returns the 30 applications of Table 3 in row order.
-func All() []App {
-	out := make([]App, 0, len(rows))
+// table is Table 3 as Apps in row order, built once. All hands out a copy,
+// so no caller shares the backing array, and ByName returns a row by value.
+var table = buildTable()
+
+func buildTable() []App {
+	apps := make([]App, 0, len(rows))
 	for _, r := range rows {
 		d, ok := kernels[r.kernel]
 		if !ok {
 			panic("workload: unknown kernel " + r.kernel)
 		}
-		out = append(out, App{
+		apps = append(apps, App{
 			Name: r.name, No: r.no, Framework: r.fw, Kernel: r.kernel,
 			Class: r.class, Suite: r.suite, Set: r.set, InputGB: r.inputGB,
 			Demand:    d,
 			Converges: r.name != "Spark-CF",
 		})
 	}
-	return out
+	return apps
 }
+
+// All returns the 30 applications of Table 3 in row order, as a fresh
+// slice the caller may modify.
+func All() []App { return append([]App(nil), table...) }
 
 // BySet returns the applications in the given Table 3 split, in row order.
 func BySet(s Set) []App {
 	var out []App
-	for _, a := range All() {
+	for _, a := range table {
 		if a.Set == s {
 			out = append(out, a)
 		}
@@ -237,9 +244,9 @@ func TargetSet() []App { return BySet(Target) }
 
 // ByName returns the application with the given Table 3 name.
 func ByName(name string) (App, error) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, nil
+	for i := range table {
+		if table[i].Name == name {
+			return table[i], nil
 		}
 	}
 	return App{}, fmt.Errorf("workload: no application named %q in Table 3", name)
@@ -248,7 +255,7 @@ func ByName(name string) (App, error) {
 // ByFramework returns all applications of one framework, in row order.
 func ByFramework(f Framework) []App {
 	var out []App
-	for _, a := range All() {
+	for _, a := range table {
 		if a.Framework == f {
 			out = append(out, a)
 		}

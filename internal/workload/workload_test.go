@@ -98,6 +98,34 @@ func TestByNameErrors(t *testing.T) {
 	}
 }
 
+// TestByNameTable: every row round-trips through ByName, the unknown-name
+// error keeps its wording, a lookup allocates nothing, and All hands out a
+// copy that callers cannot use to corrupt the table.
+func TestByNameTable(t *testing.T) {
+	for _, a := range All() {
+		got, err := ByName(a.Name)
+		if err != nil || got != a {
+			t.Fatalf("ByName(%q) = %+v, %v; want %+v", a.Name, got, err, a)
+		}
+	}
+	_, err := ByName("Flink-wordcount")
+	if want := `workload: no application named "Flink-wordcount" in Table 3`; err == nil || err.Error() != want {
+		t.Fatalf("unknown-name error = %v, want %q", err, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("Spark-lr"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ByName allocates %v times per call, want 0", n)
+	}
+	all := All()
+	all[0].Name = "mutated"
+	if All()[0].Name == "mutated" {
+		t.Fatal("All returned a slice sharing the table")
+	}
+}
+
 func TestDemandSanity(t *testing.T) {
 	for _, a := range All() {
 		d := a.Demand
