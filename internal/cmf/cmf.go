@@ -193,29 +193,6 @@ type cellRC struct {
 	idx, r, c int32
 }
 
-// Prepared is a validated problem with its observed-cell lists prebuilt.
-// Building the lists costs one pass over every matrix; a caller that solves
-// the same problem repeatedly prepares once and solves many times. A
-// Prepared is immutable after construction and safe for concurrent Solve
-// calls.
-type Prepared struct {
-	prob                       Problem
-	cellsUStar, cellsU, cellsV []cellRC
-}
-
-// Prepare validates the problem and prebuilds its observed-cell lists.
-func Prepare(p Problem) (*Prepared, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &Prepared{
-		prob:       p,
-		cellsUStar: observedCells(p.UStar, p.Mask),
-		cellsU:     observedCells(p.U, nil),
-		cellsV:     observedCells(p.V, nil),
-	}, nil
-}
-
 // scratchPool recycles the shuffle buffers of concurrent solves. Entries are
 // pointers to slices (the usual sync.Pool idiom avoiding per-Put allocation).
 var scratchPool = sync.Pool{New: func() any { s := make([]cellRC, 0, 1280); return &s }}
@@ -224,16 +201,9 @@ var scratchPool = sync.Pool{New: func() any { s := make([]cellRC, 0, 1280); retu
 // matrices but one and sweeps SGD updates over the relevant observed cells,
 // cycling X* -> X -> T -> L until the total loss stabilizes.
 func Solve(p Problem, cfg Config, src *rng.Source) (*Result, error) {
-	pr, err := Prepare(p)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return pr.Solve(cfg, src)
-}
-
-// Solve runs the alternating SGD over the prepared problem; see Solve.
-func (pr *Prepared) Solve(cfg Config, src *rng.Source) (*Result, error) {
-	p := pr.prob
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -253,12 +223,13 @@ func (pr *Prepared) Solve(cfg Config, src *rng.Source) (*Result, error) {
 	}
 
 	// The observed-cell lists are fixed for the whole solve (the mask never
-	// changes), prebuilt in Prepare. Each sweep copies the ascending base
+	// changes), so they are built once. Each sweep copies the ascending base
 	// list into a pooled scratch buffer and shuffles the copy, so the rng
 	// draws land on identical starting permutations every pass and the
 	// factorization stays bit-identical to the historical per-sweep rebuild.
+	cellsUStar, cellsU, cellsV := observedCells(p.UStar, p.Mask), observedCells(p.U, nil), observedCells(p.V, nil)
 	scratchp := scratchPool.Get().(*[]cellRC)
-	maxCells := maxLen(len(pr.cellsUStar), len(pr.cellsU), len(pr.cellsV))
+	maxCells := maxLen(len(cellsUStar), len(cellsU), len(cellsV))
 	if cap(*scratchp) < maxCells {
 		*scratchp = make([]cellRC, 0, maxCells)
 	}
@@ -280,15 +251,15 @@ func (pr *Prepared) Solve(cfg Config, src *rng.Source) (*Result, error) {
 		// Decayed step size keeps late epochs from oscillating.
 		lrE := cfg.LearnRate / (1 + cfg.LRDecay*float64(epoch))
 		// Line 8: fix U (X) and V (T), update U*'s factors.
-		sweep(p.UStar, pr.cellsUStar, scratch, res.XStar, res.L, cfg.Lambda, lrE, cfg.Reg, src, true, false)
+		sweep(p.UStar, cellsUStar, scratch, res.XStar, res.L, cfg.Lambda, lrE, cfg.Reg, src, true, false)
 		// Line 9: fix U* and V, update U's factors.
-		sweep(p.U, pr.cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
+		sweep(p.U, cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
 		// Line 10: fix U and U*, update V's factors.
-		sweep(p.V, pr.cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
+		sweep(p.V, cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, true, false)
 		// Shared label factors see every relation.
-		sweep(p.UStar, pr.cellsUStar, scratch, res.XStar, res.L, cfg.Lambda, lrE, cfg.Reg, src, false, true)
-		sweep(p.U, pr.cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
-		sweep(p.V, pr.cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
+		sweep(p.UStar, cellsUStar, scratch, res.XStar, res.L, cfg.Lambda, lrE, cfg.Reg, src, false, true)
+		sweep(p.U, cellsU, scratch, res.X, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
+		sweep(p.V, cellsV, scratch, res.T, res.L, 1-cfg.Lambda, lrE, cfg.Reg, src, false, true)
 
 		loss := totalLoss(p, res, cfg)
 		res.Loss = append(res.Loss, loss)

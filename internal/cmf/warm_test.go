@@ -149,27 +149,6 @@ func TestMaskedSSEBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPreparedSolveMatchesSolve pins the Prepare/Solve split: solving a
-// prepared problem is the same computation as the one-shot entry point.
-func TestPreparedSolveMatchesSolve(t *testing.T) {
-	src := rng.New(25)
-	p, _ := synthProblem(src, 8, 4, 6, 5, 2, 0.5)
-	cfg := Config{MaxEpochs: 60}
-	want, err := Solve(p, cfg, rng.New(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := Prepare(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pr.Solve(cfg, rng.New(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalBits(t, "completed", got.Completed, want.Completed)
-}
-
 // warmFixture mirrors the serving architecture at membership scale: a
 // source-only "plan" problem (empty target row) is solved cold once, and the
 // request problem adds one new row with a few observed cells drawn in the

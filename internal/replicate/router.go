@@ -1,10 +1,10 @@
 package replicate
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -155,7 +155,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		b := &backendState{url: url}
 		r.backends = append(r.backends, b)
 		for v := 0; v < cfg.Vnodes; v++ {
-			r.ring = append(r.ring, ringPoint{h: hash64(fmt.Sprintf("%s#%d", url, v)), b: b})
+			r.ring = append(r.ring, ringPoint{h: hash64(fmt.Appendf(nil, "%s#%d", url, v)), b: b})
 		}
 	}
 	if len(r.backends) == 0 {
@@ -165,10 +165,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return r, nil
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, s)
-	return mix64(h.Sum64())
+// hash64 places a key on the ring: FNV-1a over b, avalanched by mix64. It
+// reads b in place, so hashing a request body copies nothing.
+func hash64(b []byte) uint64 {
+	h := uint64(0xcbf29ce484222325) // FNV-1a 64-bit offset basis
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 0x100000001b3 // FNV-1a 64-bit prime
+	}
+	return mix64(h)
 }
 
 // mix64 avalanches the FNV sum (splitmix64 finalizer). Raw FNV-1a only
@@ -413,7 +418,7 @@ func (r *Router) predict(w http.ResponseWriter, req *http.Request) {
 	// The routing key is the raw body: byte-identical requests always hash
 	// to the same follower, so per-key response caches stay hot across the
 	// fleet instead of spraying every key everywhere.
-	keyHash := hash64(string(body))
+	keyHash := hash64(body)
 	tried := map[*backendState]bool{}
 	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
 		b := r.pick(keyHash, tried)
@@ -482,7 +487,7 @@ func (r *Router) predict(w http.ResponseWriter, req *http.Request) {
 
 // forward ships one predict body to a backend and returns its answer.
 func (r *Router) forward(ctx context.Context, b *backendState, body []byte) (int, string, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/predict", strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/predict", bytes.NewReader(body))
 	if err != nil {
 		return 0, "", nil, err
 	}

@@ -15,26 +15,37 @@ import (
 // Config.ProfileCacheSize is left zero.
 const defaultProfileCacheSize = 4096
 
+// profileKind separates the memo's key spaces, one per measurement shape:
+// an entry answers only lookups of its own kind, so a timing (no trace, no
+// correlation vector) never answers a profile lookup and a features-only
+// profile (no trace) never answers a lookup that needs the trace.
+type profileKind uint8
+
+const (
+	kindProfile  profileKind = iota // sim.ProfileRun: full profile with the trace
+	kindFeatures                    // sim.ProfileFeatures: no trace
+	kindTiming                      // sim.ProfileTimed
+)
+
 // profileKey identifies one memoizable measurement. The default meter's
 // profile is a pure function of (app, vm, request seed) under a fixed
 // simulator configuration; the app itself is fully determined by its name
 // plus the input-size override, rendered as exact float bits so distinct
-// inputs can never collide. timed separates the two key spaces: a timing
-// entry carries no trace, so it may never answer a full-profile lookup.
+// inputs can never collide.
 type profileKey struct {
-	app   string
-	gb    uint64 // math.Float64bits(app.InputGB)
-	vm    string
-	seed  uint64
-	timed bool
+	app  string
+	gb   uint64 // math.Float64bits(app.InputGB)
+	vm   string
+	seed uint64
+	kind profileKind
 }
 
 // profileLRU is a fixed-capacity, internally synchronized LRU over simulator
-// measurements: full profiles and timing-only summaries, in their own key
-// spaces but one recency order and one pair of hit/miss counters. It is
-// shared by every request's meter, so a profiling campaign (sandbox + random
-// picks) computed once serves every later request that would redo the
-// identical measurement.
+// measurements: profiles and timing-only summaries, in their own key spaces
+// but one recency order and one pair of hit/miss counters. It is shared by
+// every request's meter, so a profiling campaign (sandbox + random picks)
+// computed once serves every later request that would redo the identical
+// measurement.
 type profileLRU struct {
 	mu      sync.Mutex
 	cap     int
@@ -44,10 +55,11 @@ type profileLRU struct {
 	hits, misses int64
 }
 
-// profileEntry holds p when key.timed is false and t when it is true.
+// profileEntry holds p for the profile kinds and t for kindTiming. The
+// profile sits behind a pointer so a timing entry carries no empty Profile.
 type profileEntry struct {
 	key profileKey
-	p   sim.Profile
+	p   *sim.Profile
 	t   sim.Timing
 }
 
@@ -110,39 +122,46 @@ type memoMeter struct {
 	sim   *sim.Simulator
 	seed  uint64
 	cache *profileLRU // nil: memoization disabled, always simulate
+	// features: the prediction reads only the profile's correlation vector
+	// and timings, so TryProfile measures with ProfileFeatures (no trace).
+	features bool
 
 	mu   sync.Mutex
 	runs int
 }
 
 // charge counts one reference-VM unit and returns the memo key of app on vm
-// in the chosen key space.
-func (m *memoMeter) charge(app workload.App, vm cloud.VMType, timed bool) profileKey {
+// in the key space of kind.
+func (m *memoMeter) charge(app workload.App, vm cloud.VMType, kind profileKind) profileKey {
 	m.mu.Lock()
 	m.runs++
 	m.mu.Unlock()
-	return profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: vm.Name, seed: m.seed, timed: timed}
+	return profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: vm.Name, seed: m.seed, kind: kind}
 }
 
 // TryProfile implements oracle.Service. The ground-truth simulator cannot
 // fail; the error is always nil.
 func (m *memoMeter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error) {
-	key := m.charge(app, vm, false)
+	measure, kind := m.sim.ProfileRun, kindProfile
+	if m.features {
+		measure, kind = m.sim.ProfileFeatures, kindFeatures
+	}
+	key := m.charge(app, vm, kind)
 	if m.cache == nil {
-		return m.sim.ProfileRun(app, vm, m.seed), nil
+		return measure(app, vm, m.seed), nil
 	}
 	if e := m.cache.get(key); e != nil {
-		return e.p, nil
+		return *e.p, nil
 	}
-	p := m.sim.ProfileRun(app, vm, m.seed)
-	m.cache.put(&profileEntry{key: key, p: p})
+	p := measure(app, vm, m.seed)
+	m.cache.put(&profileEntry{key: key, p: &p})
 	return p, nil
 }
 
 // TryTime implements oracle.Service with the same accounting as TryProfile,
 // memoized in the timing key space. The error is always nil.
 func (m *memoMeter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
-	key := m.charge(app, vm, true)
+	key := m.charge(app, vm, kindTiming)
 	if m.cache == nil {
 		return m.sim.ProfileTimed(app, vm, m.seed), nil
 	}

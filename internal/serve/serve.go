@@ -155,9 +155,10 @@ type Config struct {
 	// size, repeats). The zero value takes sim.DefaultConfig().
 	SimConfig sim.Config
 	// MeterFor overrides the measurement service built for a request seed
-	// (fault-injection rehearsals, tests). Nil builds a fresh
-	// oracle.NewMeter(sim.New(SimConfig), seed) per request, which keeps
-	// responses a pure function of (snapshot, request).
+	// (fault-injection rehearsals, tests). Nil builds a default meter per
+	// request over one shared sim.New(SimConfig) and the profile memo; its
+	// responses are oracle.NewMeter's bytes, a pure function of
+	// (snapshot, request).
 	MeterFor func(seed uint64) oracle.Service
 	// Tracer receives serving counters (requests, cache hits, swaps) and
 	// Max aggregates (snapshot epoch, peak tasks executing). Live concurrent
@@ -359,8 +360,10 @@ type taskResult struct {
 // Server is the concurrent prediction service. Create with New, stop with
 // Close. All exported methods are safe for concurrent use.
 type Server struct {
-	cfg      Config
-	meterFor func(seed uint64) oracle.Service
+	cfg Config
+	// sim is the stateless simulator every default meter shares (nil with a
+	// custom MeterFor).
+	sim *sim.Simulator
 
 	snap atomic.Pointer[core.Snapshot]
 
@@ -430,18 +433,14 @@ func New(snap *core.Snapshot, cfg Config) (*Server, error) {
 		cfg:   cfg,
 		queue: make(chan *task, cfg.QueueSize),
 	}
-	s.meterFor = cfg.MeterFor
-	if s.meterFor == nil {
+	if cfg.MeterFor == nil {
 		// Default meter: a stateless simulator shared by every request (its
 		// profiles are pure functions of (app, vm, seed)), memoized through
 		// the profile LRU unless disabled.
 		if cfg.ProfileCacheSize > 0 {
 			s.profiles = newProfileLRU(cfg.ProfileCacheSize)
 		}
-		simulator := sim.New(cfg.SimConfig)
-		s.meterFor = func(seed uint64) oracle.Service {
-			return &memoMeter{sim: simulator, seed: seed, cache: s.profiles}
-		}
+		s.sim = sim.New(cfg.SimConfig)
 	}
 	if !cfg.NoCache {
 		s.cache = newLRU(cfg.CacheSize)
@@ -860,7 +859,7 @@ func (s *Server) AbsorbApp(req AbsorbRequest) (*AbsorbResponse, error) {
 	if snap.HasWorkload(req.Name) {
 		return nil, fmt.Errorf("%w: %q", ErrConflict, req.Name)
 	}
-	pred, err := snap.PredictFast(app, s.meterFor(preq.Seed))
+	pred, err := snap.PredictFast(app, s.meter(snap, preq.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("serve: absorb %s: %w", req.App, err)
 	}
@@ -1181,10 +1180,22 @@ func (s *Server) computeLatest(t *task) taskResult {
 	return res
 }
 
+// meter builds the measurement service of one prediction against snap:
+// Config.MeterFor's when set, else a default meter over the shared simulator
+// and profile memo. A default meter measures the sandbox with
+// sim.ProfileFeatures unless snap ranks on raw metric levels, the one
+// feature mode that reads the trace.
+func (s *Server) meter(snap *core.Snapshot, seed uint64) oracle.Service {
+	if s.cfg.MeterFor != nil {
+		return s.cfg.MeterFor(seed)
+	}
+	return &memoMeter{sim: s.sim, seed: seed, cache: s.profiles, features: !snap.Config().UseRawFeatures}
+}
+
 // compute runs the uncached prediction for one task through the lineage's
 // precomputed plan.
 func (s *Server) compute(t *task) taskResult {
-	meter := s.meterFor(t.req.Seed)
+	meter := s.meter(t.snap, t.req.Seed)
 	pred, err := t.snap.PredictFast(t.app, meter)
 	if err != nil {
 		return taskResult{err: fmt.Errorf("serve: predict %s: %w", t.req.App, err)}

@@ -622,6 +622,8 @@ func referenceVMs() []cloud.VMType {
 // to the pre-change reference over every app, a VM subset, three seeds and
 // the whole referenceGrid: every field, every sample of the kept trace (Run's
 // trace: the first repeat samples through the same path), every phase.
+// ProfileFeatures must equal the reference profile, and so ProfileRun's,
+// without the trace.
 func TestLeanRepeatsMatchReference(t *testing.T) {
 	apps := workload.All()
 	if len(apps) != 30 {
@@ -647,6 +649,12 @@ func TestLeanRepeatsMatchReference(t *testing.T) {
 							t.Fatalf("%s %s on %s seed %d: kept series %v has %d samples in capacity %d",
 								g.name, a.Name, vm.Name, seed, metrics.SeriesID(id), len(ser), cap(ser))
 						}
+					}
+					wantFeatures := want
+					wantFeatures.Trace = nil
+					if m := mismatch(s.ProfileFeatures(a, vm, seed), wantFeatures); m != "" {
+						t.Fatalf("%s %s on %s seed %d: ProfileFeatures differs from the trace-less reference at Profile%s",
+							g.name, a.Name, vm.Name, seed, m)
 					}
 					if m := mismatch(s.ProfileTimed(a, vm, seed), s.refProfileTimed(a, vm, seed)); m != "" {
 						t.Fatalf("%s %s on %s seed %d: ProfileTimed differs from the reference at Timing%s",

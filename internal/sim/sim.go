@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"vesta/internal/chaos"
 	"vesta/internal/cloud"
@@ -496,21 +497,62 @@ func (p Profile) withTiming(t Timing) Profile {
 // P90 execution time, cost at P90, the metric trace of the first run and the
 // correlation vector averaged over all runs.
 func (s *Simulator) ProfileRun(app workload.App, vm cloud.VMType, seed uint64) Profile {
-	p, _ := s.profile(app, vm, seed, 0, nil)
+	p, _ := s.profile(app, vm, seed, 0, nil, metrics.AllSeries)
 	return p
 }
 
-// profile is the repeat loop behind ProfileRun (plan nil: no run can fail)
-// and ProfileAttempt. Repeats are lean: until one completes, a repeat
-// samples every series into the trace the profile keeps; every later repeat
-// feeds only the correlation vector, so it samples only
-// metrics.CorrelationSeries into a scratch trace and skips the other
-// series' draws. All repeats share one phase buffer. Neither buffer is
-// reachable from the returned Profile.
-func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uint64, plan *chaos.Plan) (Profile, error) {
+// ProfileFeatures is ProfileRun for a reader of the correlation vector: the
+// same repeats over the same per-repeat seeds, but every repeat samples only
+// metrics.CorrelationSeries and no trace is kept (Trace is nil). The series
+// left out only skip their draws, so every other field equals ProfileRun's
+// bit for bit.
+func (s *Simulator) ProfileFeatures(app workload.App, vm cloud.VMType, seed uint64) Profile {
+	p, _ := s.profile(app, vm, seed, 0, nil, metrics.CorrelationSeries)
+	return p
+}
+
+// repeatScratch is the working memory of one profile's repeat loop: the
+// phase buffer every repeat's physics runs on, the trace each repeat whose
+// trace is not kept samples the correlation series into, and the latency
+// samples the summary reads. Calls borrow it from scratchPool, so the
+// buffers live across calls; nothing a Profile or Timing returns points into
+// them.
+type repeatScratch struct {
+	phases []Phase
+	trace  metrics.Trace
+	lats   []float64
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(repeatScratch)
+	// Room for the longest possible trace, so no repeat reallocates.
+	reserveTrace(&sc.trace, metrics.CorrelationSeries, maxTraceSamples+1)
+	return sc
+}}
+
+// keepPhases keeps the larger of the scratch phase buffer and the one run
+// just ran on, so a buffer that had to grow is reused by later repeats.
+func (sc *repeatScratch) keepPhases(r RunResult) {
+	if cap(r.Phases) > cap(sc.phases) {
+		sc.phases = r.Phases
+	}
+}
+
+// profile is the repeat loop behind ProfileRun, ProfileFeatures (plan nil:
+// no run can fail) and ProfileAttempt. keep is the series set of the trace
+// the profile keeps: the first repeat to complete samples it into a new
+// trace that the Profile returns. Every other repeat feeds only the
+// correlation vector, so it samples only metrics.CorrelationSeries into the
+// scratch trace and skips the other series' draws. A keep within
+// metrics.CorrelationSeries keeps no trace: every repeat is lean and Trace
+// is nil.
+func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uint64, plan *chaos.Plan,
+	keep metrics.SeriesSet) (Profile, error) {
+	sc := scratchPool.Get().(*repeatScratch)
+	defer scratchPool.Put(sc)
 	var (
 		runs    = make([]float64, 0, s.cfg.Repeats)
-		lats    = make([]float64, 0, s.cfg.Repeats)
+		lats    = sc.lats[:0]
 		thr     float64
 		first   RunResult
 		haveRun bool
@@ -519,25 +561,21 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 		failed  int
 		wasted  float64
 		lastErr error
-		phases  []Phase
-		kept    = new(metrics.Trace)
-		scratch metrics.Trace
+		keepTr  = keep&^metrics.CorrelationSeries != 0
+		kept    *metrics.Trace // reused by first repeats that fail
 	)
-	if s.cfg.Repeats > 1 {
-		// Room for the longest possible trace, so no repeat reallocates.
-		reserveTrace(&scratch, metrics.CorrelationSeries, maxTraceSamples+1)
-	}
 	for i := 0; i < s.cfg.Repeats; i++ {
 		runSeed := seed + uint64(i)*runSeedStride
-		tr, keep := &scratch, metrics.CorrelationSeries
-		if !haveRun {
-			tr, keep = kept, metrics.AllSeries
+		tr, ser := &sc.trace, metrics.CorrelationSeries
+		if keepTr && !haveRun {
+			if kept == nil {
+				kept = new(metrics.Trace)
+			}
+			tr, ser = kept, keep
 		}
 		f := plan.ForRun(app.Name, vm.Name, runSeed, attempt)
-		r, err := s.attempt(app, vm, runSeed, attempt, f, phases, tr, keep)
-		if cap(r.Phases) > cap(phases) {
-			phases = r.Phases
-		}
+		r, err := s.attempt(app, vm, runSeed, attempt, f, sc.phases, tr, ser)
+		sc.keepPhases(r)
 		if err != nil {
 			failed++
 			var re *RunError
@@ -561,6 +599,7 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 			corrN++
 		}
 	}
+	sc.lats = lats
 	if len(runs) == 0 {
 		return Profile{
 			App: app, VM: vm, Nodes: s.cfg.Nodes,
@@ -574,6 +613,9 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 			corrSum[j] = math.NaN()
 		}
 	}
+	if !keepTr {
+		first.Trace = nil // the scratch trace: never handed out
+	}
 	return Profile{
 		App: app, VM: vm, Nodes: s.cfg.Nodes,
 		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
@@ -582,22 +624,24 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 }
 
 // ProfileTimed is ProfileRun without the metric traces: the same repeats
-// over the same per-repeat seeds, timed with RunTimed's physics on one
-// shared phase buffer. The physics finishes before trace sampling starts,
-// so every field equals ProfileRun's bit for bit at a fraction of the cost.
-// Use it wherever only times are read.
+// over the same per-repeat seeds, timed with RunTimed's physics on a pooled
+// phase buffer. The physics finishes before trace sampling starts, so every
+// field equals ProfileRun's bit for bit at a fraction of the cost. Use it
+// wherever only times are read.
 func (s *Simulator) ProfileTimed(app workload.App, vm cloud.VMType, seed uint64) Timing {
+	sc := scratchPool.Get().(*repeatScratch)
+	defer scratchPool.Put(sc)
 	runs := make([]float64, s.cfg.Repeats)
-	lats := make([]float64, s.cfg.Repeats)
+	lats := sc.lats[:0]
 	thr := 0.0
-	var phases []Phase
 	for i := 0; i < s.cfg.Repeats; i++ {
-		r, _ := s.run(app, vm, seed+uint64(i)*runSeedStride, phases)
-		phases = r.Phases
+		r, _ := s.run(app, vm, seed+uint64(i)*runSeedStride, sc.phases)
+		sc.keepPhases(r)
 		runs[i] = r.Seconds
-		lats[i] = r.LatencyMS
+		lats = append(lats, r.LatencyMS)
 		thr += r.ThroughputMBps
 	}
+	sc.lats = lats
 	return s.summarize(vm, runs, lats, thr)
 }
 

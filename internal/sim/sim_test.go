@@ -340,22 +340,47 @@ func BenchmarkProfileTimed(b *testing.B) {
 	}
 }
 
+func BenchmarkProfileFeatures(b *testing.B) {
+	s := New(DefaultConfig())
+	vm := byName["m5.xlarge"]
+	for _, name := range benchApps {
+		a, _ := workload.ByName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				profileSink = s.ProfileFeatures(a, vm, uint64(i))
+			}
+		})
+	}
+}
+
 // TestProfileAllocsIndependentOfRepeats is the allocation guard of the lean
 // repeat loop: a profile's repeats share their phase buffer, scratch trace
-// and correlation sums, so ProfileRun and ProfileTimed allocate no more at
-// 40 repeats than at 10.
+// and correlation sums, so ProfileRun, ProfileFeatures and ProfileTimed
+// allocate no more at 40 repeats than at 10. The scratch comes from a
+// sync.Pool, which a GC may empty and which drops a quarter of its Puts
+// under the race detector; a call that finds it empty allocates fresh
+// scratch. So each count is the fewest over ten calls: the steady state.
 func TestProfileAllocsIndependentOfRepeats(t *testing.T) {
 	vm := byName["m5.xlarge"]
 	for _, name := range benchApps {
 		a := app(t, name)
 		allocs := func(repeats int, profile func(s *Simulator)) float64 {
 			s := New(Config{Repeats: repeats})
-			return testing.AllocsPerRun(5, func() { profile(s) })
+			fewest := math.Inf(1)
+			for i := 0; i < 10; i++ {
+				fewest = math.Min(fewest, testing.AllocsPerRun(1, func() { profile(s) }))
+			}
+			return fewest
 		}
 		run := func(s *Simulator) { s.ProfileRun(a, vm, 3) }
+		features := func(s *Simulator) { s.ProfileFeatures(a, vm, 3) }
 		timed := func(s *Simulator) { s.ProfileTimed(a, vm, 3) }
 		if r10, r40 := allocs(10, run), allocs(40, run); r40 > r10 {
 			t.Errorf("%s: ProfileRun allocates %v times at 40 repeats, %v at 10", name, r40, r10)
+		}
+		if f10, f40 := allocs(10, features), allocs(40, features); f40 > f10 {
+			t.Errorf("%s: ProfileFeatures allocates %v times at 40 repeats, %v at 10", name, f40, f10)
 		}
 		if t10, t40 := allocs(10, timed), allocs(40, timed); t40 > t10 {
 			t.Errorf("%s: ProfileTimed allocates %v times at 40 repeats, %v at 10", name, t40, t10)

@@ -99,3 +99,25 @@ func TestProfileAttemptTimingMatchesProfileRun(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilesOwnTheirMemory: the repeat loop's buffers are pooled across
+// calls, so a returned profile must share nothing with them. A profile and
+// a timing taken first stay bit-identical to fresh copies after many later
+// calls of every kind have reused the pool.
+func TestProfilesOwnTheirMemory(t *testing.T) {
+	s := New(Config{Repeats: 3})
+	vm := byName["m5.xlarge"]
+	a := app(t, "Hadoop-kmeans")
+	p, tm := s.ProfileRun(a, vm, 1), s.ProfileTimed(a, vm, 1)
+	for i, other := range workload.All() {
+		s.ProfileRun(other, vm, uint64(i))
+		s.ProfileFeatures(other, vm, uint64(i))
+		s.ProfileTimed(other, vm, uint64(i))
+	}
+	if m := mismatch(p, New(Config{Repeats: 3}).ProfileRun(a, vm, 1)); m != "" {
+		t.Fatalf("an earlier ProfileRun changed under later calls at Profile%s", m)
+	}
+	if m := mismatch(tm, New(Config{Repeats: 3}).ProfileTimed(a, vm, 1)); m != "" {
+		t.Fatalf("an earlier ProfileTimed changed under later calls at Timing%s", m)
+	}
+}
