@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test ./internal/loadgen -run xxx -fuzz FuzzLoadgenConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rollout -run xxx -fuzz FuzzRolloutManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/metrics -run xxx -fuzz FuzzCorrelationsOf -fuzztime $(FUZZTIME)
 
 # loadgen is the load-generator determinism smoke (DESIGN.md §15): a quick
 # single run and tuner sweep exercise the CLI modes, then the full

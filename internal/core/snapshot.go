@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"vesta/internal/cloud"
+	"vesta/internal/metrics"
 	"vesta/internal/oracle"
 	"vesta/internal/workload"
 )
@@ -85,6 +86,18 @@ func (sn *Snapshot) HasWorkload(name string) bool {
 
 // Config returns the effective configuration frozen into the snapshot.
 func (sn *Snapshot) Config() Config { return sn.sys.cfg }
+
+// KeptFeatures returns the correlation features the snapshot's knowledge
+// kept after PCA pruning: the only components of a sandbox profile's
+// correlation vector a prediction against it reads. A snapshot that ranks
+// on raw metric levels reads the profile's trace, not its vector; it
+// reports every feature.
+func (sn *Snapshot) KeptFeatures() metrics.FeatureSet {
+	if sn.sys.cfg.UseRawFeatures {
+		return metrics.AllFeatures
+	}
+	return metrics.FeaturesOf(sn.sys.knowledge.Kept)
+}
 
 // Catalog returns a copy of the VM catalog frozen into the snapshot.
 func (sn *Snapshot) Catalog() []cloud.VMType {

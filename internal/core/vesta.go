@@ -617,11 +617,13 @@ func (s *System) predictWith(target workload.App, meter oracle.Service, plan *pr
 	}
 	observed[sandbox.Name] = sp.P90Seconds
 	observedLat[sandbox.Name] = sp.P90LatencyMS
-	fv := s.featureVector(sp)
-	if !finiteVec(fv) {
+	// Only the kept features reach the prediction, so only they must be
+	// finite: a meter that measured just those (the serving sandbox) leaves
+	// the others NaN.
+	targetVec := project(s.featureVector(sp), k.Kept)
+	if !finiteVec(targetVec) {
 		return nil, fmt.Errorf("%w: %s on %s: corrupt feature vector", ErrSandboxFailed, target.Name, sandbox.Name)
 	}
-	targetVec := project(fv, k.Kept)
 	rawMembership := sharpMemberships(k.KM, targetVec, k.Sigma)
 
 	// 3 randomly picked VM types initialize the CMF model (Section 4.2).

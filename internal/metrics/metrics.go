@@ -91,8 +91,8 @@ type Trace struct {
 }
 
 // Len returns the number of samples in the trace: the length of its first
-// present series (a trace sampled for Correlations alone leaves the series
-// outside CorrelationSeries nil).
+// present series (a trace sampled for CorrelationsOf(feats) alone leaves the
+// series outside SeriesOf(feats) nil).
 func (t *Trace) Len() int {
 	for _, s := range t.Series {
 		if s != nil {
@@ -198,7 +198,7 @@ func sumInto(dst, a, b []float64) {
 	}
 }
 
-// stackSamples bounds the traces whose disk and network sums Correlations
+// stackSamples bounds the traces whose disk and network sums CorrelationsOf
 // keeps on the stack; the simulator's traces (at most 513 samples) all fit,
 // so correlating one allocates nothing.
 const stackSamples = 1024
@@ -244,9 +244,13 @@ func (c CorrVector) Slice() []float64 {
 }
 
 // Valid reports whether every component is inside [-1, 1].
-func (c CorrVector) Valid() bool {
-	for _, v := range c {
-		if math.IsNaN(v) || v < -1 || v > 1 {
+func (c CorrVector) Valid() bool { return c.ValidOn(AllFeatures) }
+
+// ValidOn reports whether every component in feats is inside [-1, 1]; the
+// other components are not looked at.
+func (c CorrVector) ValidOn(feats FeatureSet) bool {
+	for i, v := range c {
+		if feats.Has(i) && (math.IsNaN(v) || v < -1 || v > 1) {
 			return false
 		}
 	}
@@ -275,19 +279,88 @@ func boundedRatio(a, b float64) float64 {
 	return (a - b) / (a + b)
 }
 
-// CorrelationSeries is the set of sampled series Correlations reads. Every
-// other series can be perturbed or left absent (nil) without changing one
-// bit of the vector (TestCorrelationSeriesIsExact), so a collector that only
-// needs the vector samples these nine series alone.
+// FeatureSet is a set of Table 1 correlation features, one bit per
+// CorrVector index.
+type FeatureSet uint16
+
+// AllFeatures holds every correlation feature.
+const AllFeatures FeatureSet = 1<<NumCorrelations - 1
+
+// Has reports whether feature i is in the set.
+func (f FeatureSet) Has(i int) bool { return f&(1<<i) != 0 }
+
+// FeaturesOf returns the set holding the given feature indices, e.g. a
+// knowledge base's PCA-kept features. Indices outside the vector are
+// ignored.
+func FeaturesOf(idx []int) FeatureSet {
+	var f FeatureSet
+	for _, i := range idx {
+		if i >= 0 && i < NumCorrelations {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// diskSeries and netSeries are summed into the disk and network totals the
+// resource correlations pair up.
+const (
+	diskSeries = 1<<DiskRead | 1<<DiskWrite
+	netSeries  = 1<<NetSend | 1<<NetRecv
+)
+
+// featureSeries is, per feature, the sampled series its value is computed
+// from. The execution correlations are ratios of ExecStats and read none.
+var featureSeries = [NumCorrelations]SeriesSet{
+	CPUToMemory:   1<<CPUUser | 1<<RAMUsed,
+	MemoryToDisk:  1<<RAMUsed | diskSeries,
+	DiskToNetwork: diskSeries | netSeries,
+	BufferToCache: 1<<BufferUsed | 1<<CacheUsed,
+	CPUToNetwork:  1<<CPUUser | netSeries,
+	DiskToSync:    diskSeries | 1<<TasksSyncStep,
+	NetworkToSync: netSeries | 1<<TasksSyncStep,
+}
+
+// SeriesOf returns the sampled series the features in feats are computed
+// from: every other series can be perturbed or left absent (nil) without
+// changing one bit of those components (TestSeriesOfIsExact), so a
+// collector that needs only feats samples these series alone.
+func SeriesOf(feats FeatureSet) SeriesSet {
+	var s SeriesSet
+	for i, ser := range featureSeries {
+		if feats.Has(i) {
+			s |= ser
+		}
+	}
+	return s
+}
+
+// CorrelationSeries is the set of sampled series Correlations reads:
+// SeriesOf(AllFeatures), the nine series of Table 1's resource
+// correlations.
 const CorrelationSeries SeriesSet = 1<<CPUUser | 1<<RAMUsed | 1<<BufferUsed | 1<<CacheUsed |
-	1<<DiskRead | 1<<DiskWrite | 1<<NetSend | 1<<NetRecv | 1<<TasksSyncStep
+	diskSeries | netSeries | 1<<TasksSyncStep
 
 // Correlations derives the Table 1 feature vector from a run trace and its
-// execution stats. Resource correlations are Pearson coefficients between
-// the relevant sampled series; execution correlations are bounded ratios of
-// the scalar execution metrics (both normalized to [-1, 1] like the paper's
-// correlation values). It reads only the series in CorrelationSeries.
+// execution stats: CorrelationsOf every feature.
 func Correlations(tr *Trace, ex ExecStats) CorrVector {
+	return CorrelationsOf(tr, ex, AllFeatures)
+}
+
+// CorrelationsOf derives the features in feats of the Table 1 vector from a
+// run trace and its execution stats; every other component is NaN. Resource
+// correlations are Pearson coefficients between the relevant sampled
+// series; execution correlations are bounded ratios of the scalar execution
+// metrics (both normalized to [-1, 1] like the paper's correlation values).
+// Each requested component is bit-identical to Correlations'. The values
+// come only from the series in SeriesOf(feats); the other present series
+// matter only through which samples collector dropout deleted, and a
+// dropped sample is NaN in every series alike.
+func CorrelationsOf(tr *Trace, ex ExecStats, feats FeatureSet) CorrVector {
+	var c CorrVector
+	for i := range c {
+		c[i] = math.NaN()
+	}
 	// Collector dropout leaves NaN samples; correlate over the complete
 	// samples only (listwise deletion). Fewer than minCompleteSamples
 	// survivors means the trace is too corrupt for a meaningful Pearson —
@@ -296,13 +369,10 @@ func Correlations(tr *Trace, ex ExecStats) CorrVector {
 	if tr.Dropped > 0 || hasNaNSample(tr) {
 		tr = completeSamples(tr)
 		if tr.Len() < minCompleteSamples {
-			var c CorrVector
-			for i := range c {
-				c[i] = math.NaN()
-			}
 			return c
 		}
 	}
+	ser := SeriesOf(feats)
 	n := tr.Len()
 	var buf [2 * stackSamples]float64
 	var disk, net []float64
@@ -311,36 +381,50 @@ func Correlations(tr *Trace, ex ExecStats) CorrVector {
 	} else {
 		disk, net = make([]float64, n), make([]float64, n)
 	}
-	sumInto(disk, tr.Series[DiskRead], tr.Series[DiskWrite])
-	sumInto(net, tr.Series[NetSend], tr.Series[NetRecv])
+	if ser&diskSeries != 0 {
+		sumInto(disk, tr.Series[DiskRead], tr.Series[DiskWrite])
+	}
+	if ser&netSeries != 0 {
+		sumInto(net, tr.Series[NetSend], tr.Series[NetRecv])
+	}
 
-	var c CorrVector
-	c[CPUToMemory] = stats.Pearson(tr.Series[CPUUser], tr.Series[RAMUsed])
-	c[MemoryToDisk] = stats.Pearson(tr.Series[RAMUsed], disk)
-	c[DiskToNetwork] = stats.Pearson(disk, net)
-	c[BufferToCache] = stats.Pearson(tr.Series[BufferUsed], tr.Series[CacheUsed])
-	c[CPUToNetwork] = stats.Pearson(tr.Series[CPUUser], net)
+	pearson := func(i int, xs, ys []float64) {
+		if feats.Has(i) {
+			c[i] = stats.Pearson(xs, ys)
+		}
+	}
+	pearson(CPUToMemory, tr.Series[CPUUser], tr.Series[RAMUsed])
+	pearson(MemoryToDisk, tr.Series[RAMUsed], disk)
+	pearson(DiskToNetwork, disk, net)
+	pearson(BufferToCache, tr.Series[BufferUsed], tr.Series[CacheUsed])
+	pearson(CPUToNetwork, tr.Series[CPUUser], net)
 
 	// iteration-to-parallelism: positive = prefers a "thin" cluster (many
 	// iterations), negative = prefers a "fat" cluster (wide parallelism).
-	iterations := ex.TasksSync // one barrier per superstep
-	parallelism := 0.0
-	if ex.DataPerParallelism > 0 {
-		parallelism = ex.DataPerIteration / ex.DataPerParallelism // tasks per superstep
+	if feats.Has(IterationToParallelism) {
+		iterations := ex.TasksSync // one barrier per superstep
+		parallelism := 0.0
+		if ex.DataPerParallelism > 0 {
+			parallelism = ex.DataPerIteration / ex.DataPerParallelism // tasks per superstep
+		}
+		c[IterationToParallelism] = boundedRatio(iterations, parallelism)
 	}
-	c[IterationToParallelism] = boundedRatio(iterations, parallelism)
 
 	// data-to-computation: positive = many computation phases relative to
 	// data movement.
-	c[DataToComputation] = boundedRatio(ex.TasksCompute, ex.TasksComm)
+	if feats.Has(DataToComputation) {
+		c[DataToComputation] = boundedRatio(ex.TasksCompute, ex.TasksComm)
+	}
 
 	// data-to-cycle: positive = data-starved (lots of cycles per byte),
 	// negative = scan-dominated. DataPerCycle around 1 GB per billion cycles
 	// is the neutral point.
-	c[DataToCycle] = boundedRatio(1, ex.DataPerCycle)
+	if feats.Has(DataToCycle) {
+		c[DataToCycle] = boundedRatio(1, ex.DataPerCycle)
+	}
 
-	c[DiskToSync] = stats.Pearson(disk, tr.Series[TasksSyncStep])
-	c[NetworkToSync] = stats.Pearson(net, tr.Series[TasksSyncStep])
+	pearson(DiskToSync, disk, tr.Series[TasksSyncStep])
+	pearson(NetworkToSync, net, tr.Series[TasksSyncStep])
 	return c
 }
 

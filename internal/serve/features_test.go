@@ -11,6 +11,7 @@ import (
 
 	"vesta/internal/cloud"
 	"vesta/internal/core"
+	"vesta/internal/metrics"
 	"vesta/internal/oracle"
 	"vesta/internal/sim"
 	"vesta/internal/workload"
@@ -125,7 +126,7 @@ func TestMemoMeterFeaturesKeySpace(t *testing.T) {
 	vm := cloud.ByName(cloud.Catalog120())["c5.xlarge"]
 	cache := newProfileLRU(16)
 	simulator := sim.New(sim.Config{Repeats: 3})
-	lean := &memoMeter{sim: simulator, seed: 5, cache: cache, features: true}
+	lean := &memoMeter{sim: simulator, seed: 5, cache: cache, features: metrics.AllFeatures}
 	full := &memoMeter{sim: simulator, seed: 5, cache: cache}
 
 	fp, _ := lean.TryProfile(app, vm)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"vesta/internal/cloud"
+	"vesta/internal/metrics"
 	"vesta/internal/oracle"
 	"vesta/internal/sim"
 	"vesta/internal/workload"
@@ -23,7 +24,7 @@ type profileKind uint8
 
 const (
 	kindProfile  profileKind = iota // sim.ProfileRun: full profile with the trace
-	kindFeatures                    // sim.ProfileFeatures: no trace
+	kindFeatures                    // sim.ProfileFeatures: no trace, the key's features only
 	kindTiming                      // sim.ProfileTimed
 )
 
@@ -31,13 +32,39 @@ const (
 // profile is a pure function of (app, vm, request seed) under a fixed
 // simulator configuration; the app itself is fully determined by its name
 // plus the input-size override, rendered as exact float bits so distinct
-// inputs can never collide.
+// inputs can never collide. A features profile also depends on the feature
+// set it measured, so an entry never answers for another set (a rollout
+// that installs knowledge with a different kept set, say).
 type profileKey struct {
-	app  string
-	gb   uint64 // math.Float64bits(app.InputGB)
-	vm   string
-	seed uint64
-	kind profileKind
+	app   string
+	gb    uint64 // math.Float64bits(app.InputGB)
+	vm    vmPhysics
+	seed  uint64
+	kind  profileKind
+	feats metrics.FeatureSet // kindFeatures only; 0 for the other kinds
+}
+
+// vmPhysics is what the simulator reads of a VM type to measure it: its
+// name (the run's seed stream) and its hardware, with the floats as exact
+// bits. A catalog update that retires a type and re-adds it under the same
+// name with other hardware therefore keys apart. The price is left out: it
+// scales only CostUSD, which no prediction reads, and keying on it would
+// empty the memo at every reprice. A recalled profile's CostUSD is the
+// price of its first measurement.
+type vmPhysics struct {
+	name                string
+	vcpus               int
+	mem, cpu, disk, net uint64
+	burstable           bool
+}
+
+func physicsOf(vm cloud.VMType) vmPhysics {
+	return vmPhysics{
+		name: vm.Name, vcpus: vm.VCPUs,
+		mem: math.Float64bits(vm.MemoryGiB), cpu: math.Float64bits(vm.CPUFactor),
+		disk: math.Float64bits(vm.DiskMBps), net: math.Float64bits(vm.NetworkGbps),
+		burstable: vm.Burstable,
+	}
 }
 
 // profileLRU is a fixed-capacity, internally synchronized LRU over simulator
@@ -122,46 +149,56 @@ type memoMeter struct {
 	sim   *sim.Simulator
 	seed  uint64
 	cache *profileLRU // nil: memoization disabled, always simulate
-	// features: the prediction reads only the profile's correlation vector
-	// and timings, so TryProfile measures with ProfileFeatures (no trace).
-	features bool
+	// features, when non-zero, is the set of correlation features the
+	// prediction reads (besides the timings): TryProfile measures only those
+	// with ProfileFeatures (no trace). Zero measures with ProfileRun.
+	features metrics.FeatureSet
 
 	mu   sync.Mutex
 	runs int
 }
 
 // charge counts one reference-VM unit and returns the memo key of app on vm
-// in the key space of kind.
-func (m *memoMeter) charge(app workload.App, vm cloud.VMType, kind profileKind) profileKey {
+// in the key space of kind (and, for kindFeatures, of feats).
+func (m *memoMeter) charge(app workload.App, vm cloud.VMType, kind profileKind, feats metrics.FeatureSet) profileKey {
 	m.mu.Lock()
 	m.runs++
 	m.mu.Unlock()
-	return profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: vm.Name, seed: m.seed, kind: kind}
+	return profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: physicsOf(vm), seed: m.seed,
+		kind: kind, feats: feats}
 }
 
 // TryProfile implements oracle.Service. The ground-truth simulator cannot
 // fail; the error is always nil.
 func (m *memoMeter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error) {
-	measure, kind := m.sim.ProfileRun, kindProfile
-	if m.features {
-		measure, kind = m.sim.ProfileFeatures, kindFeatures
+	kind := kindProfile
+	if m.features != 0 {
+		kind = kindFeatures
 	}
-	key := m.charge(app, vm, kind)
+	key := m.charge(app, vm, kind, m.features)
 	if m.cache == nil {
-		return measure(app, vm, m.seed), nil
+		return m.measure(app, vm), nil
 	}
 	if e := m.cache.get(key); e != nil {
 		return *e.p, nil
 	}
-	p := measure(app, vm, m.seed)
+	p := m.measure(app, vm)
 	m.cache.put(&profileEntry{key: key, p: &p})
 	return p, nil
+}
+
+// measure simulates the profile TryProfile returns.
+func (m *memoMeter) measure(app workload.App, vm cloud.VMType) sim.Profile {
+	if m.features != 0 {
+		return m.sim.ProfileFeatures(app, vm, m.seed, m.features)
+	}
+	return m.sim.ProfileRun(app, vm, m.seed)
 }
 
 // TryTime implements oracle.Service with the same accounting as TryProfile,
 // memoized in the timing key space. The error is always nil.
 func (m *memoMeter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
-	key := m.charge(app, vm, kindTiming)
+	key := m.charge(app, vm, kindTiming, 0)
 	if m.cache == nil {
 		return m.sim.ProfileTimed(app, vm, m.seed), nil
 	}

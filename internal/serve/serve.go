@@ -1183,13 +1183,18 @@ func (s *Server) computeLatest(t *task) taskResult {
 // meter builds the measurement service of one prediction against snap:
 // Config.MeterFor's when set, else a default meter over the shared simulator
 // and profile memo. A default meter measures the sandbox with
-// sim.ProfileFeatures unless snap ranks on raw metric levels, the one
-// feature mode that reads the trace.
+// sim.ProfileFeatures on snap's kept features, the only ones its prediction
+// reads, unless snap ranks on raw metric levels, the one feature mode that
+// reads the trace.
 func (s *Server) meter(snap *core.Snapshot, seed uint64) oracle.Service {
 	if s.cfg.MeterFor != nil {
 		return s.cfg.MeterFor(seed)
 	}
-	return &memoMeter{sim: s.sim, seed: seed, cache: s.profiles, features: !snap.Config().UseRawFeatures}
+	m := &memoMeter{sim: s.sim, seed: seed, cache: s.profiles}
+	if !snap.Config().UseRawFeatures {
+		m.features = snap.KeptFeatures()
+	}
+	return m
 }
 
 // compute runs the uncached prediction for one task through the lineage's

@@ -203,5 +203,5 @@ func applyDropout(tr *metrics.Trace, f chaos.RunFaults) {
 // with the last *RunError. With a nil chaos plan the result is
 // byte-identical to ProfileRun.
 func (s *Simulator) ProfileAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64) (Profile, error) {
-	return s.profile(app, vm, seed, attempt, s.cfg.Chaos, metrics.AllSeries)
+	return s.profile(app, vm, seed, attempt, s.cfg.Chaos, metrics.AllFeatures, true)
 }

@@ -19,6 +19,7 @@ import (
 	"vesta/internal/metrics"
 	"vesta/internal/obs"
 	"vesta/internal/rng"
+	"vesta/internal/stats"
 	"vesta/internal/workload"
 )
 
@@ -244,6 +245,18 @@ func (s *Simulator) refRunPhysics(app workload.App, vm cloud.VMType, seed uint64
 	}, src
 }
 
+// refSummarize reduces the completed repeats of one (workload, VM) pair to
+// the protocol's summary: P90 time, cost at P90, P90 latency, mean
+// throughput.
+func (s *Simulator) refSummarize(vm cloud.VMType, runs, lats []float64, thr float64) Timing {
+	p90 := stats.P90(runs)
+	return Timing{
+		Runs: runs, P90Seconds: p90, MeanSec: stats.Mean(runs),
+		CostUSD:      p90 / 3600 * vm.PriceHour * float64(s.cfg.Nodes),
+		P90LatencyMS: stats.P90(lats), ThroughputMBps: thr / float64(len(runs)),
+	}
+}
+
 // refProfileRun performs the paper's full measurement protocol: Repeats runs,
 // P90 execution time, cost at P90, and the metric trace of the first run.
 func (s *Simulator) refProfileRun(app workload.App, vm cloud.VMType, seed uint64) Profile {
@@ -271,7 +284,7 @@ func (s *Simulator) refProfileRun(app workload.App, vm cloud.VMType, seed uint64
 	return Profile{
 		App: app, VM: vm, Nodes: s.cfg.Nodes,
 		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
-	}.withTiming(s.summarize(vm, runs, lats, thr))
+	}.withTiming(s.refSummarize(vm, runs, lats, thr))
 }
 
 // refProfileTimed is ProfileRun without the metric traces: the same repeats
@@ -288,7 +301,7 @@ func (s *Simulator) refProfileTimed(app workload.App, vm cloud.VMType, seed uint
 		lats[i] = r.LatencyMS
 		thr += r.ThroughputMBps
 	}
-	return s.summarize(vm, runs, lats, thr)
+	return s.refSummarize(vm, runs, lats, thr)
 }
 
 // refSampleTrace walks the phase list emitting one sample per SampleSec with
@@ -533,7 +546,7 @@ func (s *Simulator) refProfileAttempt(app workload.App, vm cloud.VMType, seed, a
 		App: app, VM: vm, Nodes: s.cfg.Nodes,
 		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
 		FailedRuns: failed, WastedSec: wasted,
-	}.withTiming(s.summarize(vm, runs, lats, thr)), nil
+	}.withTiming(s.refSummarize(vm, runs, lats, thr)), nil
 }
 
 // bitsMismatch walks got and want field by field, element by element, and
@@ -618,12 +631,27 @@ func referenceVMs() []cloud.VMType {
 	return vms
 }
 
+// referenceFeatureSets are the feature sets ProfileFeatures is held to the
+// reference on: every feature, the PCA-kept set of the default training
+// seeds, the execution ratios alone (no series sampled) and each Pearson
+// feature alone.
+var referenceFeatureSets = func() []metrics.FeatureSet {
+	sets := []metrics.FeatureSet{metrics.AllFeatures, metrics.FeaturesOf([]int{2, 5, 7, 8}), metrics.FeaturesOf([]int{5, 6, 7})}
+	for i := 0; i < metrics.NumCorrelations; i++ {
+		if metrics.SeriesOf(1<<i) != 0 {
+			sets = append(sets, 1<<i)
+		}
+	}
+	return sets
+}()
+
 // TestLeanRepeatsMatchReference holds ProfileRun, ProfileTimed and RunTimed
 // to the pre-change reference over every app, a VM subset, three seeds and
 // the whole referenceGrid: every field, every sample of the kept trace (Run's
 // trace: the first repeat samples through the same path), every phase.
-// ProfileFeatures must equal the reference profile, and so ProfileRun's,
-// without the trace.
+// ProfileFeatures of every referenceFeatureSets entry must equal the
+// reference profile, and so ProfileRun's, without the trace and with NaN in
+// the correlation components outside its set.
 func TestLeanRepeatsMatchReference(t *testing.T) {
 	apps := workload.All()
 	if len(apps) != 30 {
@@ -650,11 +678,18 @@ func TestLeanRepeatsMatchReference(t *testing.T) {
 								g.name, a.Name, vm.Name, seed, metrics.SeriesID(id), len(ser), cap(ser))
 						}
 					}
-					wantFeatures := want
-					wantFeatures.Trace = nil
-					if m := mismatch(s.ProfileFeatures(a, vm, seed), wantFeatures); m != "" {
-						t.Fatalf("%s %s on %s seed %d: ProfileFeatures differs from the trace-less reference at Profile%s",
-							g.name, a.Name, vm.Name, seed, m)
+					for _, feats := range referenceFeatureSets {
+						wantFeatures := want
+						wantFeatures.Trace = nil
+						for i := range wantFeatures.Corr {
+							if !feats.Has(i) {
+								wantFeatures.Corr[i] = math.NaN()
+							}
+						}
+						if m := mismatch(s.ProfileFeatures(a, vm, seed, feats), wantFeatures); m != "" {
+							t.Fatalf("%s %s on %s seed %d: ProfileFeatures(%010b) differs from the trace-less reference at Profile%s",
+								g.name, a.Name, vm.Name, seed, feats, m)
+						}
 					}
 					if m := mismatch(s.ProfileTimed(a, vm, seed), s.refProfileTimed(a, vm, seed)); m != "" {
 						t.Fatalf("%s %s on %s seed %d: ProfileTimed differs from the reference at Timing%s",

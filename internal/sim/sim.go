@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 
 	"vesta/internal/chaos"
@@ -476,13 +477,14 @@ func (p Profile) Timing() Timing {
 // summarize reduces the completed repeats of one (workload, VM) pair — their
 // execution times, streaming latencies and summed throughput — to the
 // protocol's summary: P90 time, cost at P90, P90 latency, mean throughput.
-// Every profile path builds its timing fields here.
-func (s *Simulator) summarize(vm cloud.VMType, runs, lats []float64, thr float64) Timing {
-	p90 := stats.P90(runs)
+// Every profile path builds its timing fields here; the percentiles sort
+// copies in the scratch's sort buffer.
+func (s *Simulator) summarize(sc *repeatScratch, vm cloud.VMType, runs, lats []float64, thr float64) Timing {
+	p90 := sc.p90(runs)
 	return Timing{
 		Runs: runs, P90Seconds: p90, MeanSec: stats.Mean(runs),
 		CostUSD:      p90 / 3600 * vm.PriceHour * float64(s.cfg.Nodes),
-		P90LatencyMS: stats.P90(lats), ThroughputMBps: thr / float64(len(runs)),
+		P90LatencyMS: sc.p90(lats), ThroughputMBps: thr / float64(len(runs)),
 	}
 }
 
@@ -497,38 +499,59 @@ func (p Profile) withTiming(t Timing) Profile {
 // P90 execution time, cost at P90, the metric trace of the first run and the
 // correlation vector averaged over all runs.
 func (s *Simulator) ProfileRun(app workload.App, vm cloud.VMType, seed uint64) Profile {
-	p, _ := s.profile(app, vm, seed, 0, nil, metrics.AllSeries)
+	p, _ := s.profile(app, vm, seed, 0, nil, metrics.AllFeatures, true)
 	return p
 }
 
-// ProfileFeatures is ProfileRun for a reader of the correlation vector: the
-// same repeats over the same per-repeat seeds, but every repeat samples only
-// metrics.CorrelationSeries and no trace is kept (Trace is nil). The series
-// left out only skip their draws, so every other field equals ProfileRun's
-// bit for bit.
-func (s *Simulator) ProfileFeatures(app workload.App, vm cloud.VMType, seed uint64) Profile {
-	p, _ := s.profile(app, vm, seed, 0, nil, metrics.CorrelationSeries)
+// ProfileFeatures is ProfileRun for a reader of the correlation features in
+// feats: the same repeats over the same per-repeat seeds, but every repeat
+// samples only metrics.SeriesOf(feats), correlates only feats, and counts
+// toward Corr when it is valid on feats. No trace is kept (Trace is nil) and
+// Corr's components outside feats are NaN. The series left out only skip
+// their draws, so every other field equals ProfileRun's bit for bit, and so
+// does every component in feats while no repeat is invalid outside them —
+// as no fault-free repeat is.
+func (s *Simulator) ProfileFeatures(app workload.App, vm cloud.VMType, seed uint64, feats metrics.FeatureSet) Profile {
+	p, _ := s.profile(app, vm, seed, 0, nil, feats, false)
 	return p
 }
 
 // repeatScratch is the working memory of one profile's repeat loop: the
-// phase buffer every repeat's physics runs on, the trace each repeat whose
-// trace is not kept samples the correlation series into, and the latency
-// samples the summary reads. Calls borrow it from scratchPool, so the
-// buffers live across calls; nothing a Profile or Timing returns points into
-// them.
+// phase buffer every repeat's physics runs on, the backing store of the
+// trace each repeat whose trace is not kept samples its correlation series
+// into, the latency samples the summary reads and the buffer its
+// percentiles sort. Calls borrow it from scratchPool, so the buffers live
+// across calls; nothing a Profile or Timing returns points into them.
 type repeatScratch struct {
 	phases []Phase
+	// series holds room for the longest possible trace in every correlation
+	// series; a lean repeat's trace takes the ones it samples, so repeats of
+	// any feature set share it without reallocating.
+	series [metrics.NumSeries][]float64
 	trace  metrics.Trace
 	lats   []float64
+	sorted []float64
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	sc := new(repeatScratch)
-	// Room for the longest possible trace, so no repeat reallocates.
 	reserveTrace(&sc.trace, metrics.CorrelationSeries, maxTraceSamples+1)
+	sc.series = sc.trace.Series
 	return sc
 }}
+
+// leanTrace returns the scratch trace with every series' room restored.
+func (sc *repeatScratch) leanTrace() *metrics.Trace {
+	sc.trace.Series = sc.series
+	return &sc.trace
+}
+
+// p90 is stats.P90(xs) computed on a copy sorted in the scratch buffer.
+func (sc *repeatScratch) p90(xs []float64) float64 {
+	sc.sorted = append(sc.sorted[:0], xs...)
+	sort.Float64s(sc.sorted)
+	return stats.SortedPercentile(sc.sorted, 90)
+}
 
 // keepPhases keeps the larger of the scratch phase buffer and the one run
 // just ran on, so a buffer that had to grow is reused by later repeats.
@@ -539,15 +562,14 @@ func (sc *repeatScratch) keepPhases(r RunResult) {
 }
 
 // profile is the repeat loop behind ProfileRun, ProfileFeatures (plan nil:
-// no run can fail) and ProfileAttempt. keep is the series set of the trace
-// the profile keeps: the first repeat to complete samples it into a new
-// trace that the Profile returns. Every other repeat feeds only the
-// correlation vector, so it samples only metrics.CorrelationSeries into the
-// scratch trace and skips the other series' draws. A keep within
-// metrics.CorrelationSeries keeps no trace: every repeat is lean and Trace
-// is nil.
+// no run can fail) and ProfileAttempt. Each repeat feeds the correlation
+// features in feats: it samples only metrics.SeriesOf(feats) into the
+// scratch trace, skipping the other series' draws, and counts toward Corr
+// when its vector is valid on feats. With keepTrace the first repeat to
+// complete instead samples every series into a new trace that the Profile
+// returns; without it every repeat is lean and Trace is nil.
 func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uint64, plan *chaos.Plan,
-	keep metrics.SeriesSet) (Profile, error) {
+	feats metrics.FeatureSet, keepTrace bool) (Profile, error) {
 	sc := scratchPool.Get().(*repeatScratch)
 	defer scratchPool.Put(sc)
 	var (
@@ -561,17 +583,17 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 		failed  int
 		wasted  float64
 		lastErr error
-		keepTr  = keep&^metrics.CorrelationSeries != 0
+		lean    = metrics.SeriesOf(feats)
 		kept    *metrics.Trace // reused by first repeats that fail
 	)
 	for i := 0; i < s.cfg.Repeats; i++ {
 		runSeed := seed + uint64(i)*runSeedStride
-		tr, ser := &sc.trace, metrics.CorrelationSeries
-		if keepTr && !haveRun {
+		tr, ser := sc.leanTrace(), lean
+		if keepTrace && !haveRun {
 			if kept == nil {
 				kept = new(metrics.Trace)
 			}
-			tr, ser = kept, keep
+			tr, ser = kept, metrics.AllSeries
 		}
 		f := plan.ForRun(app.Name, vm.Name, runSeed, attempt)
 		r, err := s.attempt(app, vm, runSeed, attempt, f, sc.phases, tr, ser)
@@ -591,8 +613,8 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 		if !haveRun {
 			first, haveRun = r, true
 		}
-		cv := metrics.Correlations(r.Trace, r.Exec)
-		if cv.Valid() {
+		cv := metrics.CorrelationsOf(r.Trace, r.Exec, feats)
+		if cv.ValidOn(feats) {
 			for j := range corrSum {
 				corrSum[j] += cv[j]
 			}
@@ -613,14 +635,14 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 			corrSum[j] = math.NaN()
 		}
 	}
-	if !keepTr {
+	if !keepTrace {
 		first.Trace = nil // the scratch trace: never handed out
 	}
 	return Profile{
 		App: app, VM: vm, Nodes: s.cfg.Nodes,
 		Trace: first.Trace, Exec: first.Exec, Corr: corrSum,
 		FailedRuns: failed, WastedSec: wasted,
-	}.withTiming(s.summarize(vm, runs, lats, thr)), nil
+	}.withTiming(s.summarize(sc, vm, runs, lats, thr)), nil
 }
 
 // ProfileTimed is ProfileRun without the metric traces: the same repeats
@@ -642,7 +664,7 @@ func (s *Simulator) ProfileTimed(app workload.App, vm cloud.VMType, seed uint64)
 		thr += r.ThroughputMBps
 	}
 	sc.lats = lats
-	return s.summarize(vm, runs, lats, thr)
+	return s.summarize(sc, vm, runs, lats, thr)
 }
 
 // phase constructors set the characteristic utilization levels that the

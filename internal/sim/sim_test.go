@@ -340,15 +340,18 @@ func BenchmarkProfileTimed(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileFeatures measures the serving sandbox's profile: the
+// correlation features the default training seeds keep after PCA pruning.
 func BenchmarkProfileFeatures(b *testing.B) {
 	s := New(DefaultConfig())
 	vm := byName["m5.xlarge"]
+	kept := metrics.FeaturesOf([]int{2, 5, 7, 8})
 	for _, name := range benchApps {
 		a, _ := workload.ByName(name)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				profileSink = s.ProfileFeatures(a, vm, uint64(i))
+				profileSink = s.ProfileFeatures(a, vm, uint64(i), kept)
 			}
 		})
 	}
@@ -374,7 +377,7 @@ func TestProfileAllocsIndependentOfRepeats(t *testing.T) {
 			return fewest
 		}
 		run := func(s *Simulator) { s.ProfileRun(a, vm, 3) }
-		features := func(s *Simulator) { s.ProfileFeatures(a, vm, 3) }
+		features := func(s *Simulator) { s.ProfileFeatures(a, vm, 3, metrics.AllFeatures) }
 		timed := func(s *Simulator) { s.ProfileTimed(a, vm, 3) }
 		if r10, r40 := allocs(10, run), allocs(40, run); r40 > r10 {
 			t.Errorf("%s: ProfileRun allocates %v times at 40 repeats, %v at 10", name, r40, r10)

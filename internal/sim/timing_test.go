@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vesta/internal/metrics"
 	"vesta/internal/workload"
 )
 
@@ -111,7 +112,8 @@ func TestProfilesOwnTheirMemory(t *testing.T) {
 	p, tm := s.ProfileRun(a, vm, 1), s.ProfileTimed(a, vm, 1)
 	for i, other := range workload.All() {
 		s.ProfileRun(other, vm, uint64(i))
-		s.ProfileFeatures(other, vm, uint64(i))
+		s.ProfileFeatures(other, vm, uint64(i), metrics.AllFeatures)
+		s.ProfileFeatures(other, vm, uint64(i), metrics.FeaturesOf([]int{2, 5, 7, 8}))
 		s.ProfileTimed(other, vm, uint64(i))
 	}
 	if m := mismatch(p, New(Config{Repeats: 3}).ProfileRun(a, vm, 1)); m != "" {

@@ -144,14 +144,20 @@ func AbsPercentErr(predicted, truth float64) float64 {
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile of an already ascending-sorted slice: the
+// same interpolation, without the copy and sort.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		panic("stats: Percentile of empty slice")
 	}
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: Percentile %v out of [0,100]", p))
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
