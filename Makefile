@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/rollout -run xxx -fuzz FuzzRolloutManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/metrics -run xxx -fuzz FuzzCorrelationsOf -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rng -run xxx -fuzz FuzzSkip -fuzztime $(FUZZTIME)
 
 # loadgen is the load-generator determinism smoke (DESIGN.md §15): a quick
 # single run and tuner sweep exercise the CLI modes, then the full
@@ -115,10 +116,11 @@ loadgen-report:
 	git diff --exit-code results/loadgen.md
 
 # bench-serve reruns the serving-throughput sweep recorded in
-# results/serve.md (requests/sec vs worker count, cache on and off, plus the
-# uncached-arm ladder: legacy / fold-in / fold-in+memo).
+# results/serve.md (requests/sec vs worker count, cache on and off, the
+# uncached-arm ladder: legacy / fold-in / fold-in+memo, and the serial
+# all-apps cold mix of perf's cold workload).
 bench-serve:
-	$(GO) test ./internal/serve -run xxx -bench 'BenchmarkServe|BenchmarkPredictNoCache' -benchtime 200x
+	$(GO) test ./internal/serve -run xxx -bench 'BenchmarkServe|BenchmarkPredictNoCache|BenchmarkPredictColdMix' -benchtime 200x
 
 # bench-predict is the uncached-predict regression gate (DESIGN.md §12): a
 # benchstat-style before/after comparison of the legacy arm (Snapshot.Predict,

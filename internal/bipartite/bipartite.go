@@ -8,7 +8,8 @@ package bipartite
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"vesta/internal/mat"
 )
@@ -182,13 +183,21 @@ func (g *Graph) ScoreVMsFromWeights(labelWeights []float64) []VMScore {
 		}
 		scores[vi] = VMScore{VM: vm, Score: s}
 	}
-	sort.Slice(scores, func(a, b int) bool {
-		if scores[a].Score != scores[b].Score {
-			return scores[a].Score > scores[b].Score
-		}
-		return scores[a].VM < scores[b].VM
-	})
+	slices.SortFunc(scores, byScore)
 	return scores
+}
+
+// byScore orders VM scores best first, ties broken by name: the comparison
+// reports a before b exactly when a's score is higher, or equal with a
+// smaller name.
+func byScore(a, b VMScore) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.VM, b.VM)
 }
 
 // WL returns a copy of the workload-label matrix (rows follow Workloads()).

@@ -2,6 +2,9 @@ package bipartite
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 )
 
@@ -208,5 +211,51 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScoreOrderMatchesSortSlice: ScoreVMsFromWeights orders exactly as the
+// sort.Slice comparison it replaced, on a graph built for ties: 64 VMs
+// added in scrambled name order whose label weights take three values, so
+// many VMs share a score and the name tiebreak decides, plus all-zero and
+// NaN weights, where every score ties.
+func TestScoreOrderMatchesSortSlice(t *testing.T) {
+	labels := []string{"l0", "l1", "l2", "l3"}
+	var vms []string
+	for i := 0; i < 64; i++ {
+		vms = append(vms, fmt.Sprintf("vm%02d", (i*37)%64))
+	}
+	g, err := New(labels, vms)
+	must(t, err)
+	for i, vm := range vms {
+		for j, l := range labels {
+			must(t, g.SetLabelVM(l, vm, float64((i*7+j*3)%3)*0.25))
+		}
+	}
+	weights := [][]float64{
+		{1, 0, 0, 0}, {0.5, 0.5, 0, 0}, {0.25, 0.25, 0.25, 0.25}, {0, 0, 0, 1},
+		{0, 0, 0, 0}, {math.NaN(), 0, 0, 0},
+	}
+	for _, w := range weights {
+		want := make([]VMScore, len(vms))
+		for vi, vm := range vms {
+			s := 0.0
+			for li := range labels {
+				s += w[li] * g.lv.At(li, vi)
+			}
+			want[vi] = VMScore{VM: vm, Score: s}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Score != want[b].Score {
+				return want[a].Score > want[b].Score
+			}
+			return want[a].VM < want[b].VM
+		})
+		got := g.ScoreVMsFromWeights(w)
+		for i := range want {
+			if got[i].VM != want[i].VM || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("weights %v: rank %d is %v, sort.Slice gives %v", w, i, got[i], want[i])
+			}
+		}
 	}
 }

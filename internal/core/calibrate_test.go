@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"vesta/internal/bipartite"
+	"vesta/internal/rng"
+	"vesta/internal/stats"
 )
 
 // calibrate depends only on its arguments, so the tests drive it on a bare
@@ -110,5 +114,105 @@ func TestCalibrateNoObservations(t *testing.T) {
 	pred := (&System{}).calibrate(scoreRanking(scores), map[string]float64{})
 	if pred["vm-a"] != 2 || pred["vm-b"] != 4 {
 		t.Fatalf("identity-law predictions %v, want 1/score", pred)
+	}
+}
+
+// refCalibrate is a verbatim copy of calibrate as it was when it looked
+// scores up in a map built from the whole ranking. Only the name is changed.
+func refCalibrate(ranking []bipartite.VMScore, observed map[string]float64) map[string]float64 {
+	scoreOf := make(map[string]float64, len(ranking))
+	for _, r := range ranking {
+		scoreOf[r.VM] = r.Score
+	}
+	// Collect (log score, log time) pairs from the measurements, in sorted
+	// VM order: map iteration order would vary the summation order of the
+	// least-squares fit below and leak last-bit float differences into the
+	// predictions, breaking the bit-identical reproducibility contract.
+	vms := make([]string, 0, len(observed))
+	for vm := range observed {
+		vms = append(vms, vm)
+	}
+	sort.Strings(vms)
+	var lx, ly []float64
+	for _, vm := range vms {
+		if sc, sec := scoreOf[vm], observed[vm]; sc > 1e-9 && sec > 0 {
+			lx = append(lx, math.Log(sc))
+			ly = append(ly, math.Log(sec))
+		}
+	}
+	a, b := 1.0, 1.0
+	switch {
+	case len(lx) >= 2 && stats.StdDev(lx) > 1e-6:
+		// Least-squares slope, clamped to a physically sensible range.
+		b = -stats.Covariance(lx, ly) / stats.Variance(lx)
+		b = math.Max(0.5, math.Min(3, b))
+		a = math.Exp(stats.Mean(ly) + b*stats.Mean(lx))
+	case len(lx) >= 1:
+		a = math.Exp(ly[0] + lx[0]) // single observation: b = 1 fallback
+	}
+	out := make(map[string]float64, len(ranking))
+	for _, r := range ranking {
+		if r.Score > 1e-9 {
+			out[r.VM] = a * math.Pow(r.Score, -b)
+		} else {
+			out[r.VM] = math.Inf(1)
+		}
+	}
+	// Observed VMs report their measured time exactly.
+	for vm, sec := range observed {
+		out[vm] = sec
+	}
+	return out
+}
+
+// TestCalibrateMatchesReference holds calibrate to refCalibrate bit for bit
+// on 1,000 random rankings and observation sets: rankings of 1 to 130 VMs
+// in any order, with tied scores and scores at or below the 1e-9 floor;
+// observations of 0 to 5 VMs, among them VMs the ranking lacks, single
+// observations and non-positive times.
+func TestCalibrateMatchesReference(t *testing.T) {
+	src := rng.New(27)
+	cases := map[string]int{}
+	for trial := 0; trial < 1000; trial++ {
+		n := 1 + src.Intn(130)
+		ranking := make([]bipartite.VMScore, n)
+		for i := range ranking {
+			score := src.Range(0.01, 1)
+			switch src.Intn(8) {
+			case 0:
+				score = 1e-9 * src.Float64() // at or below the floor
+			case 1:
+				score = 0.5 // a tie
+			}
+			ranking[i] = bipartite.VMScore{VM: fmt.Sprintf("vm%03d", src.Intn(1000)), Score: score}
+		}
+		observed := map[string]float64{}
+		for k := src.Intn(6); k > 0; k-- {
+			vm := ranking[src.Intn(n)].VM
+			if src.Intn(5) == 0 {
+				vm = fmt.Sprintf("gone%d", src.Intn(10)) // not in the ranking
+				cases["missing"]++
+			}
+			sec := src.Range(1, 5000)
+			if src.Intn(10) == 0 {
+				sec = 0
+			}
+			observed[vm] = sec
+		}
+		if len(observed) == 1 {
+			cases["single"]++
+		}
+		got, want := (&System{}).calibrate(ranking, observed), refCalibrate(ranking, observed)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d predictions, reference %d", trial, len(got), len(want))
+		}
+		for vm, w := range want {
+			if g, ok := got[vm]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("trial %d: %s predicted %v, reference %v", trial, vm, g, w)
+			}
+		}
+	}
+	if cases["missing"] == 0 || cases["single"] == 0 {
+		t.Fatalf("the trials miss a case: %v", cases)
 	}
 }

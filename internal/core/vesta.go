@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vesta/internal/bipartite"
@@ -913,10 +914,6 @@ func (s *System) transfer(rawMembership []float64, src *rng.Source, traceKey str
 // anchors the transferred ranking to the new framework's absolute time
 // scale with only 4 runs.
 func (s *System) calibrate(ranking []bipartite.VMScore, observed map[string]float64) map[string]float64 {
-	scoreOf := make(map[string]float64, len(ranking))
-	for _, r := range ranking {
-		scoreOf[r.VM] = r.Score
-	}
 	// Collect (log score, log time) pairs from the measurements, in sorted
 	// VM order: map iteration order would vary the summation order of the
 	// least-squares fit below and leak last-bit float differences into the
@@ -926,9 +923,17 @@ func (s *System) calibrate(ranking []bipartite.VMScore, observed map[string]floa
 		vms = append(vms, vm)
 	}
 	sort.Strings(vms)
+	// One scan of the ranking finds each observed VM's score (0 when the
+	// ranking lacks it; the last entry wins should a VM repeat).
+	scores := make([]float64, len(vms))
+	for _, r := range ranking {
+		if i, ok := slices.BinarySearch(vms, r.VM); ok {
+			scores[i] = r.Score
+		}
+	}
 	var lx, ly []float64
-	for _, vm := range vms {
-		if sc, sec := scoreOf[vm], observed[vm]; sc > 1e-9 && sec > 0 {
+	for i, vm := range vms {
+		if sc, sec := scores[i], observed[vm]; sc > 1e-9 && sec > 0 {
 			lx = append(lx, math.Log(sc))
 			ly = append(ly, math.Log(sec))
 		}

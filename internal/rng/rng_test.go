@@ -305,20 +305,19 @@ func TestShuffleCoversArrangements(t *testing.T) {
 	}
 }
 
-// TestSkipNormMatchesNorm pins SkipNorm's stream contract: k SkipNorm calls
-// leave the Source exactly where k Norm calls do, so every later draw is
-// bit-identical.
-func TestSkipNormMatchesNorm(t *testing.T) {
+// TestNormTakesTwoDraws pins Norm's stream contract: k Norm calls leave the
+// Source exactly where Skip(2*k) does, so every later draw is bit-identical.
+func TestNormTakesTwoDraws(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		for _, k := range []int{0, 1, 2, 3, 17, 34} {
 			a, b := New(seed), New(seed)
 			for i := 0; i < k; i++ {
 				a.Norm(0.5, 2)
-				b.SkipNorm()
 			}
+			b.Skip(2 * k)
 			for i := 0; i < 100; i++ {
 				if x, y := a.Uint64(), b.Uint64(); x != y {
-					t.Fatalf("seed %d, k=%d: draw %d after Norm is %#x, after SkipNorm %#x", seed, k, i, x, y)
+					t.Fatalf("seed %d, k=%d: draw %d after Norm is %#x, after Skip(%d) %#x", seed, k, i, x, 2*k, y)
 				}
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"vesta/internal/workload"
 )
 
 // benchServe measures end-to-end request throughput at a given worker count
@@ -69,6 +71,33 @@ func BenchmarkPredictNoCacheFoldIn(b *testing.B) {
 }
 func BenchmarkPredictNoCacheFoldInMemo(b *testing.B) {
 	benchServe(b, 4, Config{NoCache: true})
+}
+
+// BenchmarkPredictColdMix is perf's cold workload offline: one request at a
+// time over all 30 Table 3 apps, each with a seed no earlier request used,
+// on the default Config. Every request misses the response cache and the
+// profile memo, so each pays its whole measurement campaign (the sandbox and
+// three random VMs) and the fold-in. The Spark-only NoCache arms above
+// understate it: Hadoop and Hive profiles cost up to twice a Spark one.
+func BenchmarkPredictColdMix(b *testing.B) {
+	s, err := New(testSnapshot(b), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	apps := workload.All()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := Request{App: apps[i%len(apps)].Name, Seed: uint64(i + 1), Top: 3}
+		if _, err := s.PredictBytes(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.HitRate != 0 {
+		b.Fatalf("hit rate %v: a request was answered from the cache", st.HitRate)
+	}
 }
 
 // BenchmarkAbsorbApp measures one POST /absorb without a WAL: placing the

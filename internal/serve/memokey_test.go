@@ -18,7 +18,8 @@ import (
 // TestMemoMeterKeysVMPhysics: the memo keys a VM by everything the simulator
 // reads of it, so a type re-specified under its old name (retired and
 // re-added by one catalog update) is measured afresh, field by field, while
-// a reprice alone still recalls the memoized measurement.
+// a reprice alone still recalls the memoized measurement, re-priced: the
+// recall equals a fresh measurement at the new price, field by field.
 func TestMemoMeterKeysVMPhysics(t *testing.T) {
 	app, err := workload.ByName("Spark-lr")
 	if err != nil {
@@ -30,6 +31,9 @@ func TestMemoMeterKeysVMPhysics(t *testing.T) {
 	m := &memoMeter{sim: simulator, seed: 5, cache: cache}
 	m.TryProfile(app, vm)
 	m.TryTime(app, vm)
+	kept := metrics.FeaturesOf([]int{2, 5, 7, 8})
+	lean := &memoMeter{sim: simulator, seed: 5, cache: cache, features: kept}
+	lean.TryProfile(app, vm)
 
 	variants := map[string]func(*cloud.VMType){
 		"VCPUs":       func(v *cloud.VMType) { v.VCPUs *= 4 },
@@ -63,12 +67,21 @@ func TestMemoMeterKeysVMPhysics(t *testing.T) {
 	repriced.PriceHour *= 3
 	hitsBefore, _ := cache.counters()
 	p, _ := m.TryProfile(app, repriced)
+	lp, _ := lean.TryProfile(app, repriced)
 	tm, _ := m.TryTime(app, repriced)
-	if hits, _ := cache.counters(); hits != hitsBefore+2 {
-		t.Fatalf("a reprice missed the memo: %d hits, want 2", hits-hitsBefore)
+	if hits, _ := cache.counters(); hits != hitsBefore+3 {
+		t.Fatalf("a reprice missed the memo: %d hits, want 3", hits-hitsBefore)
 	}
-	if want := simulator.ProfileTimed(app, vm, 5); p.P90Seconds != want.P90Seconds || tm.P90Seconds != want.P90Seconds {
-		t.Fatal("a reprice changed the memoized times")
+	if want := simulator.ProfileRun(app, repriced, 5); !reflect.DeepEqual(p, want) {
+		t.Errorf("recalled profile after a reprice costs %v at %v/h, a fresh measurement %v at %v/h",
+			p.CostUSD, p.VM.PriceHour, want.CostUSD, want.VM.PriceHour)
+	}
+	if want := simulator.ProfileFeatures(app, repriced, 5, kept); !sameProfile(lp, want) {
+		t.Errorf("recalled features profile after a reprice costs %v at %v/h, a fresh measurement %v at %v/h",
+			lp.CostUSD, lp.VM.PriceHour, want.CostUSD, want.VM.PriceHour)
+	}
+	if want := simulator.ProfileTimed(app, repriced, 5); !reflect.DeepEqual(tm, want) {
+		t.Errorf("recalled timing after a reprice costs %v, a fresh measurement %v", tm.CostUSD, want.CostUSD)
 	}
 }
 

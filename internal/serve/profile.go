@@ -48,9 +48,8 @@ type profileKey struct {
 // name (the run's seed stream) and its hardware, with the floats as exact
 // bits. A catalog update that retires a type and re-adds it under the same
 // name with other hardware therefore keys apart. The price is left out: it
-// scales only CostUSD, which no prediction reads, and keying on it would
-// empty the memo at every reprice. A recalled profile's CostUSD is the
-// price of its first measurement.
+// scales only CostUSD, and keying on it would empty the memo at every
+// reprice. A recall re-prices instead (see priced).
 type vmPhysics struct {
 	name                string
 	vcpus               int
@@ -180,7 +179,9 @@ func (m *memoMeter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, 
 		return m.measure(app, vm), nil
 	}
 	if e := m.cache.get(key); e != nil {
-		return *e.p, nil
+		p := *e.p
+		p.VM, p.CostUSD = vm, m.priced(p.P90Seconds, vm)
+		return p, nil
 	}
 	p := m.measure(app, vm)
 	m.cache.put(&profileEntry{key: key, p: &p})
@@ -203,11 +204,20 @@ func (m *memoMeter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, erro
 		return m.sim.ProfileTimed(app, vm, m.seed), nil
 	}
 	if e := m.cache.get(key); e != nil {
-		return e.t, nil
+		t := e.t
+		t.CostUSD = m.priced(t.P90Seconds, vm)
+		return t, nil
 	}
 	t := m.sim.ProfileTimed(app, vm, m.seed)
 	m.cache.put(&profileEntry{key: key, t: t})
 	return t, nil
+}
+
+// priced is the cost at vm's current price of a measurement with P90 time
+// p90: sim's own cost expression, so a recall made after a reprice equals a
+// fresh measurement at the new price bit for bit.
+func (m *memoMeter) priced(p90 float64, vm cloud.VMType) float64 {
+	return p90 / 3600 * vm.PriceHour * float64(m.sim.Config().Nodes)
 }
 
 // Runs implements oracle.Service.

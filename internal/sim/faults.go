@@ -55,14 +55,16 @@ func (s *Simulator) RunChecked(app workload.App, vm cloud.VMType, seed uint64) (
 // the fault decision without touching the physics stream.
 func (s *Simulator) RunAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64) (RunResult, error) {
 	f := s.cfg.Chaos.ForRun(app.Name, vm.Name, seed, attempt)
-	return s.attempt(app, vm, seed, attempt, f, nil, new(metrics.Trace), metrics.AllSeries)
+	pl := s.planRun(app, vm, nil)
+	return s.attempt(app, vm, seed, attempt, f, &pl, pl.phases, new(metrics.Trace), metrics.AllSeries)
 }
 
-// attempt runs one execution under the fault decision f: the physics on the
-// phase buffer (see run), then the trace of the series in keep sampled into
-// tr (see sampleTrace) unless the cluster never launched.
+// attempt runs one execution of the plan pl under the fault decision f: the
+// noise, stragglers and truncation rewrite phases (the plan's phases or a
+// copy of them, see repeat), then the trace of the series in keep is sampled
+// into tr (see sampleTrace) unless the cluster never launched.
 func (s *Simulator) attempt(app workload.App, vm cloud.VMType, seed, attempt uint64, f chaos.RunFaults,
-	phases []Phase, tr *metrics.Trace, keep metrics.SeriesSet) (RunResult, error) {
+	pl *runPlan, phases []Phase, tr *metrics.Trace, keep metrics.SeriesSet) (RunResult, error) {
 	if f.LaunchFailure {
 		// The cluster never came up: only launch (and plan) overhead burned,
 		// no physics executed, no trace collected.
@@ -79,7 +81,7 @@ func (s *Simulator) attempt(app workload.App, vm cloud.VMType, seed, attempt uin
 			}
 	}
 
-	r, src := s.run(app, vm, seed, phases)
+	r, src := s.repeat(app, vm, seed, pl, phases)
 
 	if f.StragglerFactor != 1 {
 		for i := range r.Phases {

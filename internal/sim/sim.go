@@ -226,7 +226,8 @@ const burstThrottle = 0.55
 // fails: pathological configurations (tiny memory, huge data) produce long
 // execution times, exactly like an overloaded real cluster.
 func (s *Simulator) Run(app workload.App, vm cloud.VMType, seed uint64) RunResult {
-	r, src := s.run(app, vm, seed, nil)
+	pl := s.planRun(app, vm, nil)
+	r, src := s.repeat(app, vm, seed, &pl, pl.phases)
 	r.Trace = s.sampleTrace(new(metrics.Trace), r.Phases, &src, metrics.AllSeries)
 	return r
 }
@@ -234,16 +235,33 @@ func (s *Simulator) Run(app workload.App, vm cloud.VMType, seed uint64) RunResul
 // RunTimed is Run without the metric trace — the fast path for repeated
 // measurements where only the execution time matters.
 func (s *Simulator) RunTimed(app workload.App, vm cloud.VMType, seed uint64) RunResult {
-	r, _ := s.run(app, vm, seed, nil)
+	pl := s.planRun(app, vm, nil)
+	r, _ := s.repeat(app, vm, seed, &pl, pl.phases)
 	return r
 }
 
-// run computes the physics of one execution and returns the RNG positioned
-// for trace sampling. The result's phases live in buf when it has room for
-// the run's 4*stages phases (a profile's repeats share one buffer) and in a
-// new slice of exactly that size otherwise.
-func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64, buf []Phase) (RunResult, rng.Source) {
-	src := rng.New(seed ^ hashString(app.Name) ^ hashString(vm.Name))
+// runPlan is the noise-free part of a run: everything that depends on the
+// app, the VM's physics and the cluster but not on the seed. A profile plans
+// once and draws each repeat's noise over the plan (see repeat and noisy).
+type runPlan struct {
+	// phases are the run's phases after burst throttling, before noise.
+	phases   []Phase
+	total    float64 // seconds before noise: overheads plus every phase
+	exec     metrics.ExecStats
+	pressure float64
+	salt     uint64 // the app's and VM's part of every repeat's stream seed
+	// noiseMu and variance parameterize the run-wide log-normal noise.
+	noiseMu, variance float64
+	// The streaming service model's constants; unset for batch workloads.
+	streaming                                           bool
+	arrivalMB, capacity, serviceMS, batchMS, computePen float64
+}
+
+// planRun computes the noise-free physics of a run of app on vm. The plan's
+// phases live in buf when it has room for the run's 4*stages phases (a
+// profile's plans share one pooled buffer) and in a new slice of exactly
+// that size otherwise.
+func (s *Simulator) planRun(app workload.App, vm cloud.VMType, buf []Phase) runPlan {
 	p := paramsFor(app.Framework)
 	d := app.Demand
 	nodes := s.cfg.Nodes
@@ -302,10 +320,9 @@ func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64, buf []Ph
 	outputVol := d.OutputPerGB * data
 
 	phases := buf[:0]
-	if cap(buf) < 4*int(stages) {
+	if cap(phases) < 4*int(stages) {
 		phases = make([]Phase, 0, 4*int(stages))
 	}
-	totalCPUWork := 0.0 // core-seconds actually consumed, for burst modeling
 
 	for st := 0; st < int(stages); st++ {
 		first := st == 0
@@ -331,7 +348,6 @@ func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64, buf []Ph
 		work := d.ComputePerGB * data / stages // core-seconds at baseline speed
 		computeTime := work / (cores * cpuSpeed * math.Max(utilization, 1e-9)) *
 			skewFactor * computePenalty
-		totalCPUWork += work
 
 		// --- shuffle phase ---
 		shuffleTime := shuffleVolPerStage / math.Max(netGBs, 1e-9) * skewFactor
@@ -369,8 +385,8 @@ func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64, buf []Ph
 	}
 
 	total := p.launchOverhead + p.planOverhead
-	for _, ph := range phases {
-		total += ph.Seconds
+	for i := range phases {
+		total += phases[i].Seconds
 	}
 
 	// Burstable throttling: if the job outlives the burst window, CPU-bound
@@ -389,60 +405,93 @@ func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64, buf []Ph
 		total += throttled
 	}
 
-	// Run-to-run cloud noise: a multiplicative log-normal factor on the
-	// whole run plus independent per-phase structural jitter. The structural
-	// component matters: workloads with high RunVariance (Spark-svd++) do
-	// not just run slower or faster as a whole — their phase balance shifts
-	// between runs, which destabilizes the measured correlation vector
-	// exactly as the paper observes. Multi-tenant interference (if
-	// configured) compounds the workload's own variance.
-	variance := d.RunVariance + s.cfg.Interference
-	noise := src.LogNorm(0.5*s.cfg.Interference*s.cfg.Interference, variance)
-	total = total * noise
-	adjusted := 0.0
-	for i := range phases {
-		phaseNoise := noise * src.LogNorm(0, variance/2)
-		delta := phases[i].Seconds * (phaseNoise - noise)
-		phases[i].Seconds *= phaseNoise
-		adjusted += delta
-	}
-	total += adjusted
-
-	exec := metrics.ExecStats{
-		TasksCompute:       tasks * iters,
-		TasksComm:          stages * float64(nodes),
-		TasksSync:          stages,
-		DataPerCycle:       data / math.Max(d.ComputePerGB*data*2.5, 1e-9) * 1e3, // GB per 1e9 cycles (2.5 GHz baseline)
-		DataPerIteration:   data / iters,
-		DataPerParallelism: data / tasks,
+	pl := runPlan{
+		phases: phases, total: total, pressure: pressure,
+		exec: metrics.ExecStats{
+			TasksCompute:       tasks * iters,
+			TasksComm:          stages * float64(nodes),
+			TasksSync:          stages,
+			DataPerCycle:       data / math.Max(d.ComputePerGB*data*2.5, 1e-9) * 1e3, // GB per 1e9 cycles (2.5 GHz baseline)
+			DataPerIteration:   data / iters,
+			DataPerParallelism: data / tasks,
+		},
+		salt: hashString(app.Name) ^ hashString(vm.Name),
+		// Multi-tenant interference (if configured) compounds the
+		// workload's own variance; see noisy.
+		noiseMu:  0.5 * s.cfg.Interference * s.cfg.Interference,
+		variance: d.RunVariance + s.cfg.Interference,
 	}
 
 	// Streaming service metrics (the conclusion's extension): model the
 	// pipeline as a queueing system driven by the ingest-to-capacity
-	// utilization. Throughput is the sustained processing rate; latency
-	// grows sharply as the arrival rate approaches capacity (M/M/1-style
-	// 1/(1-rho) blow-up) plus the per-superstep batching delay.
-	latencyMS, throughput := 0.0, 0.0
+	// utilization; see service.
 	if d.Streaming {
 		ingestMBs := netGBs * 1024 * 0.5 // half the fabric for ingest
 		processMBs := cores * cpuSpeed / d.ComputePerGB * 1024
-		capacity := math.Min(ingestMBs, processMBs)
-		arrival := data * 1024 / math.Max(total, 1e-9) // offered load, MB/s
-		throughput = math.Min(arrival, capacity)
-		rho := math.Min(arrival/math.Max(capacity, 1e-9), 0.99)
-		serviceMS := 1e3 * d.ComputePerGB / 1024 / math.Max(cores*cpuSpeed, 1e-9) * 64 // per 64MB micro-batch
-		batchMS := 1e3 * (p.stageOverhead + d.SyncIntensity*0.4)
-		latencyMS = serviceMS/(1-rho) + batchMS
-		latencyMS *= computePenalty // memory pressure hurts tail latency too
+		pl.streaming = true
+		pl.arrivalMB = data * 1024
+		pl.capacity = math.Min(ingestMBs, processMBs)
+		pl.serviceMS = 1e3 * d.ComputePerGB / 1024 / math.Max(cores*cpuSpeed, 1e-9) * 64 // per 64MB micro-batch
+		pl.batchMS = 1e3 * (p.stageOverhead + d.SyncIntensity*0.4)
+		pl.computePen = computePenalty // memory pressure hurts tail latency too
 	}
+	return pl
+}
 
+// noisy draws one repeat's run-to-run cloud noise from src and returns the
+// run's noisy total: a multiplicative log-normal factor on the whole run
+// plus independent per-phase structural jitter. The structural component
+// matters: workloads with high RunVariance (Spark-svd++) do not just run
+// slower or faster as a whole — their phase balance shifts between runs,
+// which destabilizes the measured correlation vector exactly as the paper
+// observes. A non-nil phases (the plan's phases or a copy of them) receives
+// each phase's noisy time; a timed repeat passes nil and copies nothing.
+func (pl *runPlan) noisy(src *rng.Source, phases []Phase) float64 {
+	noise := src.LogNorm(pl.noiseMu, pl.variance)
+	total := pl.total * noise
+	adjusted := 0.0
+	for i := range pl.phases {
+		phaseNoise := noise * src.LogNorm(0, pl.variance/2)
+		delta := pl.phases[i].Seconds * (phaseNoise - noise)
+		if phases != nil {
+			phases[i].Seconds *= phaseNoise
+		}
+		adjusted += delta
+	}
+	return total + adjusted
+}
+
+// service returns the streaming latency and throughput of a run that took
+// total seconds (zero for batch workloads). Throughput is the sustained
+// processing rate; latency grows sharply as the arrival rate approaches
+// capacity (M/M/1-style 1/(1-rho) blow-up) plus the per-superstep batching
+// delay.
+func (pl *runPlan) service(total float64) (latencyMS, throughput float64) {
+	if !pl.streaming {
+		return 0, 0
+	}
+	arrival := pl.arrivalMB / math.Max(total, 1e-9) // offered load, MB/s
+	throughput = math.Min(arrival, pl.capacity)
+	rho := math.Min(arrival/math.Max(pl.capacity, 1e-9), 0.99)
+	latencyMS = pl.serviceMS/(1-rho) + pl.batchMS
+	latencyMS *= pl.computePen
+	return latencyMS, throughput
+}
+
+// repeat is one run of the plan pl under seed: it draws the run's noise,
+// rewriting phases (the plan's phases, or a copy of them) to their noisy
+// times, and returns the RNG positioned for trace sampling.
+func (s *Simulator) repeat(app workload.App, vm cloud.VMType, seed uint64, pl *runPlan, phases []Phase) (RunResult, rng.Source) {
+	src := rng.New(seed ^ pl.salt)
+	total := pl.noisy(src, phases)
+	latencyMS, throughput := pl.service(total)
 	hours := total / 3600
 	return RunResult{
-		App: app, VM: vm, Nodes: nodes,
+		App: app, VM: vm, Nodes: s.cfg.Nodes,
 		Seconds: total,
-		CostUSD: hours * vm.PriceHour * float64(nodes),
-		Exec:    exec, Phases: phases,
-		MemPressure:    pressure,
+		CostUSD: hours * vm.PriceHour * float64(s.cfg.Nodes),
+		Exec:    pl.exec, Phases: phases,
+		MemPressure:    pl.pressure,
 		LatencyMS:      latencyMS,
 		ThroughputMBps: throughput,
 	}, *src
@@ -517,12 +566,14 @@ func (s *Simulator) ProfileFeatures(app workload.App, vm cloud.VMType, seed uint
 }
 
 // repeatScratch is the working memory of one profile's repeat loop: the
-// phase buffer every repeat's physics runs on, the backing store of the
-// trace each repeat whose trace is not kept samples its correlation series
-// into, the latency samples the summary reads and the buffer its
-// percentiles sort. Calls borrow it from scratchPool, so the buffers live
-// across calls; nothing a Profile or Timing returns points into them.
+// plan every repeat draws its noise over, the phase buffer a traced repeat
+// copies the plan into, the backing store of the trace each repeat whose
+// trace is not kept samples its correlation series into, the latency
+// samples the summary reads and the buffer its percentiles sort. Calls
+// borrow it from scratchPool, so the buffers live across calls; nothing a
+// Profile or Timing returns points into them.
 type repeatScratch struct {
+	plan   runPlan
 	phases []Phase
 	// series holds room for the longest possible trace in every correlation
 	// series; a lean repeat's trace takes the ones it samples, so repeats of
@@ -553,25 +604,19 @@ func (sc *repeatScratch) p90(xs []float64) float64 {
 	return stats.SortedPercentile(sc.sorted, 90)
 }
 
-// keepPhases keeps the larger of the scratch phase buffer and the one run
-// just ran on, so a buffer that had to grow is reused by later repeats.
-func (sc *repeatScratch) keepPhases(r RunResult) {
-	if cap(r.Phases) > cap(sc.phases) {
-		sc.phases = r.Phases
-	}
-}
-
-// profile is the repeat loop behind ProfileRun, ProfileFeatures (plan nil:
-// no run can fail) and ProfileAttempt. Each repeat feeds the correlation
-// features in feats: it samples only metrics.SeriesOf(feats) into the
-// scratch trace, skipping the other series' draws, and counts toward Corr
-// when its vector is valid on feats. With keepTrace the first repeat to
-// complete instead samples every series into a new trace that the Profile
-// returns; without it every repeat is lean and Trace is nil.
-func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uint64, plan *chaos.Plan,
+// profile is the repeat loop behind ProfileRun, ProfileFeatures (faults nil:
+// no run can fail) and ProfileAttempt. It plans the run once; each repeat
+// copies the plan's phases, draws its noise over the copy and feeds the
+// correlation features in feats: it samples only metrics.SeriesOf(feats)
+// into the scratch trace, skipping the other series' draws, and counts
+// toward Corr when its vector is valid on feats. With keepTrace the first
+// repeat to complete instead samples every series into a new trace that the
+// Profile returns; without it every repeat is lean and Trace is nil.
+func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uint64, faults *chaos.Plan,
 	feats metrics.FeatureSet, keepTrace bool) (Profile, error) {
 	sc := scratchPool.Get().(*repeatScratch)
 	defer scratchPool.Put(sc)
+	sc.plan = s.planRun(app, vm, sc.plan.phases)
 	var (
 		runs    = make([]float64, 0, s.cfg.Repeats)
 		lats    = sc.lats[:0]
@@ -595,9 +640,9 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 			}
 			tr, ser = kept, metrics.AllSeries
 		}
-		f := plan.ForRun(app.Name, vm.Name, runSeed, attempt)
-		r, err := s.attempt(app, vm, runSeed, attempt, f, sc.phases, tr, ser)
-		sc.keepPhases(r)
+		f := faults.ForRun(app.Name, vm.Name, runSeed, attempt)
+		sc.phases = append(sc.phases[:0], sc.plan.phases...)
+		r, err := s.attempt(app, vm, runSeed, attempt, f, &sc.plan, sc.phases, tr, ser)
 		if err != nil {
 			failed++
 			var re *RunError
@@ -646,22 +691,24 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 }
 
 // ProfileTimed is ProfileRun without the metric traces: the same repeats
-// over the same per-repeat seeds, timed with RunTimed's physics on a pooled
-// phase buffer. The physics finishes before trace sampling starts, so every
-// field equals ProfileRun's bit for bit at a fraction of the cost. Use it
-// wherever only times are read.
+// over the same per-repeat seeds, each drawing its noise over one pooled
+// plan and reading the plan's phase times without copying a phase. The
+// physics finishes before trace sampling starts, so every field equals
+// ProfileRun's bit for bit at a fraction of the cost. Use it wherever only
+// times are read.
 func (s *Simulator) ProfileTimed(app workload.App, vm cloud.VMType, seed uint64) Timing {
 	sc := scratchPool.Get().(*repeatScratch)
 	defer scratchPool.Put(sc)
+	sc.plan = s.planRun(app, vm, sc.plan.phases)
+	pl := &sc.plan
 	runs := make([]float64, s.cfg.Repeats)
 	lats := sc.lats[:0]
 	thr := 0.0
-	for i := 0; i < s.cfg.Repeats; i++ {
-		r, _ := s.run(app, vm, seed+uint64(i)*runSeedStride, sc.phases)
-		sc.keepPhases(r)
-		runs[i] = r.Seconds
-		lats = append(lats, r.LatencyMS)
-		thr += r.ThroughputMBps
+	for i := range runs {
+		runs[i] = pl.noisy(rng.New((seed+uint64(i)*runSeedStride)^pl.salt), nil)
+		lat, tput := pl.service(runs[i])
+		lats = append(lats, lat)
+		thr += tput
 	}
 	sc.lats = lats
 	return s.summarize(sc, vm, runs, lats, thr)
@@ -829,18 +876,32 @@ func reserveTrace(tr *metrics.Trace, keep metrics.SeriesSet, n int) {
 	}
 }
 
+// drawsPerSeries is how many Uint64 draws one series' sample takes: two
+// normal draws of two each.
+const drawsPerSeries = 4
+
+// sampledSeries is one series a trace samples: its ID, the draws of the
+// unsampled series before it that the stream skips, and whether it reports
+// the window maximum (a step-task count) rather than the time average.
+type sampledSeries struct {
+	id   metrics.SeriesID
+	skip int
+	max  bool
+}
+
 // sampleTrace fills tr with the run's metric trace, walking the phase list
 // and emitting one sample per SampleSec with multiplicative noise,
 // guaranteeing at least one sample per run. Only the series in keep are
-// sampled; for every other series the stream skips the draws a sample would
-// take, so the kept series are bit-identical to a full trace's, and the
-// series stays absent (nil). tr is sized once for the whole run and
+// mixed and sampled; every sample advances the stream past the draws the
+// other series would take (rng.Source.Skip jumps the longer runs in O(1)),
+// so the kept series are bit-identical to a full trace's, and the other
+// series stay absent (nil). tr is sized once for the whole run and
 // returned.
 func (s *Simulator) sampleTrace(tr *metrics.Trace, phases []Phase, src *rng.Source, keep metrics.SeriesSet) *metrics.Trace {
 	interval := s.cfg.SampleSec
 	total := 0.0
-	for _, ph := range phases {
-		total += ph.Seconds
+	for i := range phases {
+		total += phases[i].Seconds
 	}
 	if total/interval > maxTraceSamples {
 		interval = total / maxTraceSamples
@@ -853,32 +914,46 @@ func (s *Simulator) sampleTrace(tr *metrics.Trace, phases []Phase, src *rng.Sour
 	reserveTrace(tr, keep, n)
 	tr.SampleSec = interval
 
+	var sampledBuf [metrics.NumSeries]sampledSeries
+	sampled := sampledBuf[:0]
+	tail := 0 // draws of the unsampled series after the last sampled one
+	for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
+		if !keep.Has(id) {
+			tail += drawsPerSeries
+			continue
+		}
+		isMax := id == metrics.TasksComputeStep || id == metrics.TasksCommStep || id == metrics.TasksSyncStep
+		sampled = append(sampled, sampledSeries{id: id, skip: tail, max: isMax})
+		tail = 0
+	}
+
 	// The collector reports average utilizations per sampling window
 	// (Section 4.1: "average resource utilizations" every 5 seconds), so
 	// each sample blends the levels of every phase active inside the
 	// window, weighted by the time the phase spends in it. This matters: a
 	// 1-second barrier inside a 5-second window contributes 20% of the
 	// sample instead of aliasing between all-or-nothing.
-	emit := func(levels [metrics.NumSeries]float64) {
-		for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
-			if !keep.Has(id) {
-				src.SkipNorm()
-				src.SkipNorm()
-				continue
+	emit := func(levels *[metrics.NumSeries]float64) {
+		for _, ss := range sampled {
+			if ss.skip > 0 {
+				src.Skip(ss.skip)
 			}
-			v := levels[id]
+			v := levels[ss.id]
 			// +/-8% relative noise plus a small absolute floor keeps
 			// constant series from producing degenerate zero-variance
 			// correlations.
 			v = v*(1+src.Norm(0, 0.08)) + math.Abs(src.Norm(0, 0.01))
-			tr.Series[id] = append(tr.Series[id], clamp01(v))
+			tr.Series[ss.id] = append(tr.Series[ss.id], clamp01(v))
+		}
+		if tail > 0 {
+			src.Skip(tail)
 		}
 	}
 
 	if total <= 0 {
 		// Degenerate zero-length run: emit one sample of the first phase.
 		if len(phases) > 0 {
-			emit(phases[0].Levels)
+			emit(&phases[0].Levels)
 		}
 		return tr
 	}
@@ -899,22 +974,19 @@ func (s *Simulator) sampleTrace(tr *metrics.Trace, phases []Phase, src *rng.Sour
 			sliceEnd := math.Min(phaseEnd, winEnd)
 			dur := sliceEnd - cursor
 			if dur > 0 {
-				for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
-					if !keep.Has(id) {
-						continue
-					}
-					switch id {
-					case metrics.TasksComputeStep, metrics.TasksCommStep, metrics.TasksSyncStep:
+				levels := &phases[pi].Levels
+				for _, ss := range sampled {
+					if ss.max {
 						// Step-task counts come from the framework's
 						// scheduler, not from time-averaged sampling: a
 						// barrier is reported for the window no matter how
 						// short it is. Track the window maximum (scaled by
 						// covered time below).
-						if phases[pi].Levels[id] > mix[id]/math.Max(covered+dur, 1e-12) {
-							mix[id] = phases[pi].Levels[id] * (covered + dur)
+						if levels[ss.id] > mix[ss.id]/math.Max(covered+dur, 1e-12) {
+							mix[ss.id] = levels[ss.id] * (covered + dur)
 						}
-					default:
-						mix[id] += phases[pi].Levels[id] * dur
+					} else {
+						mix[ss.id] += levels[ss.id] * dur
 					}
 				}
 				covered += dur
@@ -930,18 +1002,15 @@ func (s *Simulator) sampleTrace(tr *metrics.Trace, phases []Phase, src *rng.Sour
 			}
 		}
 		if covered > 0 {
-			for id := metrics.SeriesID(0); id < metrics.NumSeries; id++ {
-				if !keep.Has(id) {
-					continue
-				}
-				mix[id] /= covered
+			for _, ss := range sampled {
+				mix[ss.id] /= covered
 			}
-			emit(mix)
+			emit(&mix)
 		}
 		winStart = winEnd
 	}
 	if tr.Len() == 0 {
-		emit(phases[0].Levels)
+		emit(&phases[0].Levels)
 	}
 	return tr
 }
