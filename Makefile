@@ -31,7 +31,7 @@ bench-parallel:
 
 # report regenerates the committed seed-1 experiment reports.
 report:
-	$(GO) run ./cmd/vestabench -parallel 4 -o results/seed1.txt -md results/seed1.md
+	$(GO) run ./cmd/vestabench -parallel 4 -md results/seed1.md
 
 # trace demonstrates the observability layer (DESIGN.md §9): it runs the
 # offline + online pipeline with tracing on at two worker counts and proves
@@ -123,10 +123,10 @@ bench-serve:
 	$(GO) test ./internal/serve -run xxx -bench 'BenchmarkServe|BenchmarkPredictNoCache|BenchmarkPredictColdMix' -benchtime 200x
 
 # bench-predict is the uncached-predict regression gate (DESIGN.md §12): a
-# benchstat-style before/after comparison of the legacy arm (Snapshot.Predict,
-# the cold solve, with no memoization) against the default serving arm (plan
-# fold-in + memoization), in one binary, failing when the fast path falls
-# under the 1.8x floor.
+# benchstat-style before/after comparison of the legacy arm (a per-request
+# cold CMF solve with no memoization, rebuilt as a test-local reference)
+# against the default serving arm (plan fold-in + memoization), in one
+# binary, failing when the fast path falls under the 1.8x floor.
 bench-predict:
 	VESTA_BENCH_PREDICT=1 $(GO) test ./internal/serve -run TestPredictHotPathGate -v -timeout 20m
 

@@ -6,7 +6,7 @@
 //	vestabench -exp fig6,fig8      # run a subset
 //	vestabench -list               # list experiment ids
 //	vestabench -seed 42            # change the deterministic seed
-//	vestabench -o results.txt      # also write the report to a file
+//	vestabench -md report.md       # also write a markdown report to a file
 //	vestabench -workers 8          # worker pool inside each experiment
 //	vestabench -trace out.jsonl    # write deterministic observability records
 //	vestabench -v                  # verbose wall-clock progress on stderr
@@ -39,7 +39,6 @@ func main() {
 		expFlag   = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		listFlag  = flag.Bool("list", false, "list available experiments and exit")
 		seedFlag  = flag.Uint64("seed", 1, "deterministic experiment seed")
-		outFlag   = flag.String("o", "", "also write the report to this file")
 		mdFlag    = flag.String("md", "", "also write a markdown report to this file")
 		parFlag   = flag.Int("parallel", 1, "experiments run concurrently (each gets its own environment)")
 		workFlag  = flag.Int("workers", 0, "worker pool size inside each experiment (0 = one per CPU); output is identical at every value")
@@ -107,16 +106,7 @@ func main() {
 		}
 	}
 
-	var out io.Writer = os.Stdout
-	if *outFlag != "" {
-		f, err := os.Create(*outFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
-	}
+	out := os.Stdout
 
 	var md io.Writer
 	if *mdFlag != "" {

@@ -18,7 +18,7 @@ import (
 
 // vestaMeanMAPE trains a Vesta variant and returns its mean Equation 7 MAPE
 // and mean selection regret over the 12 Spark targets, plus the number of
-// PCA-kept features. The per-target online predictions (one CMF solve each)
+// PCA-kept features. The per-target online predictions (one fold-in each)
 // run as a batch on the worker pool.
 func vestaMeanMAPE(env *Env, cfg core.Config) (mape, regret float64, kept int) {
 	truth := env.Truth("targets", workload.TargetSet())

@@ -244,7 +244,7 @@ func ExtInterference(env *Env) *Table {
 		t.AddRow(fmt.Sprintf("%.1f", intf), stats.Mean(mapes), stats.Mean(regrets), flagged)
 	}
 	t.Notes = append(t.Notes,
-		"interference inflates every system's error floor (ground truth itself is noisier); the knowledge-match guard flags more targets as the correlation vectors destabilize",
+		"interference inflates every system's error floor (ground truth itself is noisier); outliers flagged counts the targets the knowledge-match guard sends to the sandbox-only fallback",
 	)
 	return t
 }

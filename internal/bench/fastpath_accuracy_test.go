@@ -27,12 +27,15 @@ func fig7Deviation(t *testing.T, env *Env, predicted map[string]float64, app wor
 	return stats.Mean(dev)
 }
 
-// TestFastPathAccuracyVsFigure7 holds the serving fast path (the target
+// fig7DeviationBound is the Figure 7 mean deviation (percent) the fold-in
+// must stay within: the 6.1% the per-target cold SGD solve measured at seed
+// 1 plus the 2 points the fold-in was allowed over it while both existed.
+const fig7DeviationBound = 8.1
+
+// TestFastPathAccuracyVsFigure7 holds the prediction path (the target
 // folded in against the plan's converged label factors) to the paper's
 // Figure 7 accuracy protocol: predicted vs observed execution time of
-// Spark-lr on the 10 typical VM types. It must stay within 2 percentage
-// points of the cold solve's mean deviation and agree with the cold path on
-// the best VM.
+// Spark-lr on the 10 typical VM types, within fig7DeviationBound.
 func TestFastPathAccuracyVsFigure7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a full system")
@@ -47,24 +50,13 @@ func TestFastPathAccuracyVsFigure7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cold, err := snap.Predict(app, env.Meter(0x70))
-	if err != nil {
-		t.Fatal(err)
-	}
 	fast, err := snap.PredictFast(app, env.Meter(0x70))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	coldDev := fig7Deviation(t, env, cold.PredictedSec, app)
-	fastDev := fig7Deviation(t, env, fast.PredictedSec, app)
-	t.Logf("Figure 7 mean |deviation|: cold %.1f%%, fast path %.1f%%", coldDev, fastDev)
-
-	if fastDev > coldDev+2 {
-		t.Errorf("fast path mean deviation %.1f%% exceeds cold %.1f%% by more than 2 points", fastDev, coldDev)
-	}
-	if fast.Best.Name != cold.Best.Name {
-		t.Errorf("fast path best VM %s, cold picked %s", fast.Best.Name, cold.Best.Name)
+	dev := fig7Deviation(t, env, fast.PredictedSec, app)
+	t.Logf("Figure 7 mean |deviation|: %.1f%%", dev)
+	if dev > fig7DeviationBound {
+		t.Errorf("mean deviation %.1f%% exceeds the %.1f%% bound", dev, fig7DeviationBound)
 	}
 }

@@ -81,7 +81,7 @@ func ExtProviderTransfer(env *Env) *Table {
 
 		var transferRegrets, nativeRegrets []float64
 		for _, app := range apps {
-			pred, err := multi.Predict(app, env.Meter(0xE1))
+			pred, err := multi.PredictFast(app, env.Meter(0xE1))
 			if err != nil {
 				panic(err)
 			}

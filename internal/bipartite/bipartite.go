@@ -183,14 +183,14 @@ func (g *Graph) ScoreVMsFromWeights(labelWeights []float64) []VMScore {
 		}
 		scores[vi] = VMScore{VM: vm, Score: s}
 	}
-	slices.SortFunc(scores, byScore)
+	slices.SortFunc(scores, ByScore)
 	return scores
 }
 
-// byScore orders VM scores best first, ties broken by name: the comparison
+// ByScore orders VM scores best first, ties broken by name: the comparison
 // reports a before b exactly when a's score is higher, or equal with a
-// smaller name.
-func byScore(a, b VMScore) int {
+// smaller name. Every VM ranking, adapted catalogs included, uses it.
+func ByScore(a, b VMScore) int {
 	if a.Score != b.Score {
 		if a.Score > b.Score {
 			return -1

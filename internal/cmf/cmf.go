@@ -18,12 +18,14 @@
 //
 // Once L has converged over the source relations, placing one more target
 // row is a small convex problem with a closed-form answer: FoldIn solves it
-// directly instead of running SGD over every relation again.
+// directly instead of running SGD over every relation again. Vesta runs
+// Solve once per trained knowledge (its predict plan: the source relations
+// plus an unobserved target row) and places every target with FoldIn.
 //
-// Non-convergence is a first-class outcome: the paper reports that Spark-CF
-// "does not converge in the SGD algorithm", handled by a convergence
-// limitation in the online phase. Solve reports Converged=false when the
-// epoch budget is exhausted before the loss stabilizes.
+// Solve reports Converged=false when the epoch budget is exhausted before
+// the loss stabilizes; FoldIn reports false when a row cannot be placed.
+// The paper's Spark-CF case ("does not converge in the SGD algorithm") is
+// handled by a convergence limitation in the online phase.
 package cmf
 
 import (
@@ -32,7 +34,6 @@ import (
 	"sync"
 
 	"vesta/internal/mat"
-	"vesta/internal/obs"
 	"vesta/internal/rng"
 )
 
@@ -85,13 +86,6 @@ type Config struct {
 	// Patience is how many consecutive stagnant epochs declare convergence.
 	// Default 10.
 	Patience int
-	// Tracer, when enabled, receives the per-epoch loss and learning-rate
-	// gauge streams plus a convergence event, all keyed under TraceKey
-	// (e.g. "predict/Spark-wordcount/cmf"). A nil Tracer costs one pointer
-	// check per Solve.
-	Tracer *obs.Tracer
-	// TraceKey namespaces this solve's records; defaults to "cmf".
-	TraceKey string
 }
 
 // WithLambda returns a copy of the config with Lambda explicitly set, so
@@ -236,15 +230,6 @@ func Solve(p Problem, cfg Config, src *rng.Source) (*Result, error) {
 	scratch := (*scratchp)[:maxCells]
 	defer scratchPool.Put(scratchp)
 
-	var lossKey, lrKey string
-	if cfg.Tracer.Enabled() {
-		key := cfg.TraceKey
-		if key == "" {
-			key = "cmf"
-		}
-		lossKey, lrKey = key+"/loss", key+"/lr"
-	}
-
 	best := math.Inf(1)
 	stagnant := 0
 	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
@@ -264,10 +249,6 @@ func Solve(p Problem, cfg Config, src *rng.Source) (*Result, error) {
 		loss := totalLoss(p, res, cfg)
 		res.Loss = append(res.Loss, loss)
 		res.Epochs = epoch + 1
-		if lossKey != "" {
-			cfg.Tracer.Gauge(lossKey, epoch, loss)
-			cfg.Tracer.Gauge(lrKey, epoch, lrE)
-		}
 		if loss < best*(1-cfg.Tol) {
 			best = loss
 			stagnant = 0
@@ -284,11 +265,6 @@ func Solve(p Problem, cfg Config, src *rng.Source) (*Result, error) {
 	}
 
 	res.Completed = res.XStar.Mul(res.L.T())
-	if lossKey != "" {
-		key := lossKey[:len(lossKey)-len("/loss")]
-		cfg.Tracer.Event(key+"/done",
-			fmt.Sprintf("converged=%v epochs=%d", res.Converged, res.Epochs))
-	}
 	return res, nil
 }
 

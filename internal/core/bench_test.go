@@ -68,7 +68,7 @@ func BenchmarkTracing(b *testing.B) {
 }
 
 // BenchmarkPredictBatch measures the online phase over the 12 Spark targets
-// (one CMF solve per target) at several worker counts.
+// (one fold-in per target) at several worker counts.
 func BenchmarkPredictBatch(b *testing.B) {
 	sys, err := New(Config{Seed: 1}, catalog)
 	if err != nil {

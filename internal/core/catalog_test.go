@@ -40,7 +40,7 @@ func TestAbsorbCatalogToken(t *testing.T) {
 	}
 
 	// The two increment kinds interleave: absorb on top of a catalog update.
-	pred, err := next.Predict(mustApp(t, "Spark-kmeans"), oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
+	pred, err := next.PredictFast(mustApp(t, "Spark-kmeans"), oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestAbsorbCatalogDeterministicAtVersion(t *testing.T) {
 			a.Epoch(), a.CatalogVersion(), b.Epoch(), b.CatalogVersion())
 	}
 	app := mustApp(t, "Spark-lr")
-	pa, err := a.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 9))
+	pa, err := a.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := b.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 9))
+	pb, err := b.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAbsorbCatalogRankingProjection(t *testing.T) {
 	}
 	app := mustApp(t, "Spark-kmeans")
 	meter := func() *oracle.Meter { return oracle.NewMeter(sim.New(sim.DefaultConfig()), 11) }
-	basePred, err := snap.Predict(app, meter())
+	basePred, err := snap.PredictFast(app, meter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestAbsorbCatalogRankingProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := next.Predict(app, meter())
+	pred, err := next.PredictFast(app, meter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestAbsorbCatalogRankingProjection(t *testing.T) {
 
 	// And the projection is deterministic: the same lineage with the same
 	// meter stream yields the identical ranking.
-	again, err := next.Predict(app, meter())
+	again, err := next.PredictFast(app, meter())
 	if err != nil {
 		t.Fatal(err)
 	}

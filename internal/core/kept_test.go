@@ -32,8 +32,7 @@ func (n *nanService) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile,
 
 // TestPredictReadsOnlyKeptFeatures: a sandbox profile with NaN in every
 // component the knowledge pruned predicts exactly as the full profile does,
-// on the cold and the fast path, while NaN in any kept component still
-// fails the sandbox.
+// while NaN in any kept component still fails the sandbox.
 func TestPredictReadsOnlyKeptFeatures(t *testing.T) {
 	sys := smallTrainedSystem(t, smallMeter())
 	snap, err := sys.Snapshot()
@@ -48,29 +47,24 @@ func TestPredictReadsOnlyKeptFeatures(t *testing.T) {
 		t.Fatalf("knowledge keeps %010b: nothing to prune or nothing kept", kept)
 	}
 	target := mustApp(t, "Spark-lr")
-	for _, path := range []struct {
-		name    string
-		predict func(workload.App, oracle.Service) (*Prediction, error)
-	}{{"cold", snap.Predict}, {"fast", snap.PredictFast}} {
-		want, err := path.predict(target, smallMeter())
-		if err != nil {
-			t.Fatal(err)
+	want, err := snap.PredictFast(target, smallMeter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := snap.PredictFast(target, &nanService{Meter: smallMeter(), nan: metrics.AllFeatures &^ kept})
+	if err != nil {
+		t.Fatalf("NaN in the pruned features failed the prediction: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NaN in the pruned features changed the prediction:\n got %+v\nwant %+v", got, want)
+	}
+	for i := 0; i < metrics.NumCorrelations; i++ {
+		if !kept.Has(i) {
+			continue
 		}
-		got, err := path.predict(target, &nanService{Meter: smallMeter(), nan: metrics.AllFeatures &^ kept})
-		if err != nil {
-			t.Fatalf("%s: NaN in the pruned features failed the prediction: %v", path.name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: NaN in the pruned features changed the prediction:\n got %+v\nwant %+v", path.name, got, want)
-		}
-		for i := 0; i < metrics.NumCorrelations; i++ {
-			if !kept.Has(i) {
-				continue
-			}
-			_, err := path.predict(target, &nanService{Meter: smallMeter(), nan: 1 << i})
-			if !errors.Is(err, ErrSandboxFailed) {
-				t.Fatalf("%s: NaN in kept %s: want ErrSandboxFailed, got %v", path.name, metrics.CorrelationNames[i], err)
-			}
+		_, err := snap.PredictFast(target, &nanService{Meter: smallMeter(), nan: 1 << i})
+		if !errors.Is(err, ErrSandboxFailed) {
+			t.Fatalf("NaN in kept %s: want ErrSandboxFailed, got %v", metrics.CorrelationNames[i], err)
 		}
 	}
 }

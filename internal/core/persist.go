@@ -86,12 +86,12 @@ func (s *System) setKnowledgeFromJSON(kj knowledgeJSON) error {
 		return err
 	}
 	km := &kmeans.Model{K: len(kj.Centroids), Centroids: kj.Centroids}
-	s.knowledge = &Knowledge{
+	s.setKnowledge(&Knowledge{
 		Labels: kj.Labels, Kept: kj.Kept, KM: km, Graph: kj.Graph,
 		SourceNames: kj.SourceNames, SourceVecs: kj.SourceVecs,
 		SourceMemberships: kj.SourceMemberships, Sigma: kj.Sigma,
 		BestTimes: kj.BestTimes, Times: kj.Times, OfflineRuns: kj.OfflineRuns,
-	}
+	})
 	// Keep the configured K consistent with the loaded model.
 	s.cfg.K = km.K
 	return nil

@@ -1,16 +1,15 @@
-// Predict plan: the per-request cost of the online phase is dominated by
-// work that does not depend on the request at all — rebuilding the CMF
+// Predict plan: the per-request cost of the online phase would be dominated
+// by work that does not depend on the request at all — rebuilding the CMF
 // source matrices from the knowledge graph and fitting the shared label
-// factors L over hundreds of SGD epochs. A PredictPlan hoists all of it to
-// snapshot publish time: it is a pure function of (knowledge, config),
-// computed once per Absorb lineage and shared by every snapshot in it
-// (AbsorbTarget only adds a workload node and refits K-Means; the source
-// memberships U and the label-VM layer LV never change after offline
-// training, so the plan stays valid across epochs). Each request then folds
-// its target row in against the plan's converged L in closed form
-// (cmf.FoldIn). The serving layer invalidates implicitly through the
-// (epoch, workloads) consistency token: a new lineage means a new snapshot
-// chain with its own plan holder.
+// factors L over hundreds of SGD epochs. The plan does that work once per
+// trained knowledge: it is a pure function of (knowledge, config), built
+// lazily by the first prediction and shared by every snapshot cloned from
+// the system (AbsorbTarget only adds a workload node and refits K-Means;
+// the source memberships U and the label-VM layer LV never change after
+// offline training, so the plan stays valid across epochs and catalog
+// versions). Each prediction then folds its target row in against the
+// plan's converged L in closed form (cmf.FoldIn). Installing new knowledge
+// (TrainFromData, LoadKnowledge) gives the system a new plan holder.
 package core
 
 import (
@@ -67,9 +66,8 @@ func (s *System) buildPlan() (*predictPlan, error) {
 	return &predictPlan{l: res.L, x: res.X, t: res.T, epochs: res.Epochs}, nil
 }
 
-// planCMFConfig is the CMF configuration of the plan solve, the request
-// fold-ins and the cold transfer solve alike, so all three optimize the
-// same Equation 6 objective.
+// planCMFConfig is the CMF configuration of the plan solve and the request
+// fold-ins alike, so both optimize the same Equation 6 objective.
 func (s *System) planCMFConfig() cmf.Config {
 	return cmf.Config{
 		LatentDim: s.cfg.LatentDim,
@@ -112,9 +110,9 @@ func (s *System) restorePlan(pj *planJSON) (*predictPlan, error) {
 	}, nil
 }
 
-// planHolder shares one lazily-built plan across every snapshot of an
-// Absorb lineage. The zero holder builds on first use; a holder seeded by
-// DecodeSnapshot starts done.
+// planHolder shares one lazily-built plan across a system and every
+// snapshot cloned from it. The zero holder builds on first use; a holder
+// seeded by DecodeSnapshot starts done.
 type planHolder struct {
 	mu   sync.Mutex
 	done bool
@@ -122,10 +120,10 @@ type planHolder struct {
 	err  error
 }
 
-// get returns the lineage's plan, building it from sys on first call.
-// Because the plan is a pure function of (knowledge, config) and both are
-// frozen at publish time, it does not matter which snapshot of the lineage
-// triggers the build.
+// get returns the plan, building it from sys on first call. Because the
+// plan is a pure function of (knowledge, config) and every system sharing
+// the holder has the same source memberships and label-VM layer, it does
+// not matter which of them triggers the build.
 func (h *planHolder) get(sys *System) (*predictPlan, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

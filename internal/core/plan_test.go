@@ -12,6 +12,7 @@ import (
 	"vesta/internal/oracle"
 	"vesta/internal/rng"
 	"vesta/internal/sim"
+	"vesta/internal/workload"
 )
 
 func planMeter(seed uint64) *oracle.Meter {
@@ -61,7 +62,7 @@ func TestPredictFastDeterministicAcrossPlanOrigins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.plan.peek() == nil {
+	if decoded.sys.plan.peek() == nil {
 		t.Fatal("decoded snapshot did not restore the precomputed plan")
 	}
 	fromDecoded, err := decoded.PredictFast(app, planMeter(7))
@@ -74,28 +75,6 @@ func TestPredictFastDeterministicAcrossPlanOrigins(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fromLazy, fromDecoded) {
 		t.Fatal("lazy-plan and decoded-plan predictions differ")
-	}
-}
-
-// TestPredictFastLeavesColdPathUntouched: running the fast path must not
-// perturb the historical Predict bytes — the snapshot-isolation contract
-// extended to the plan.
-func TestPredictFastLeavesColdPathUntouched(t *testing.T) {
-	snap := planSnapshot(t)
-	app := mustApp(t, "Spark-kmeans")
-	before, err := snap.Predict(app, planMeter(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.PredictFast(app, planMeter(9)); err != nil {
-		t.Fatal(err)
-	}
-	after, err := snap.Predict(app, planMeter(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("PredictFast perturbed the cold Predict path")
 	}
 }
 
@@ -113,7 +92,7 @@ func TestPlanSharedAcrossAbsorb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.plan != snap.plan {
+	if next.sys.plan != snap.sys.plan {
 		t.Fatal("absorbed snapshot does not share the lineage plan holder")
 	}
 	again, err := next.PredictFast(app, planMeter(7))
@@ -128,38 +107,6 @@ func TestPlanSharedAcrossAbsorb(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again, repeat) {
 		t.Fatal("post-absorb PredictFast is not deterministic")
-	}
-}
-
-// TestPredictFastAccuracyNearCold bounds the fold-in's accuracy drift: the
-// fast path places the target against the plan's converged label factors
-// instead of re-solving everything by SGD, so its predicted times must sit
-// within a few percent of the cold solve's and pick the same best VM. (The
-// Figure 7-style absolute accuracy bench lives in internal/bench.)
-func TestPredictFastAccuracyNearCold(t *testing.T) {
-	snap := planSnapshot(t)
-	for _, name := range []string{"Spark-lr", "Spark-kmeans", "Spark-sort"} {
-		app := mustApp(t, name)
-		cold, err := snap.Predict(app, planMeter(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := snap.PredictFast(app, planMeter(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Best.Name != cold.Best.Name {
-			t.Errorf("%s: best VM %s, cold picked %s", name, fast.Best.Name, cold.Best.Name)
-		}
-		if fast.OnlineRuns != cold.OnlineRuns {
-			t.Errorf("%s: OnlineRuns %d, cold %d", name, fast.OnlineRuns, cold.OnlineRuns)
-		}
-		for vm, cv := range cold.PredictedSec {
-			fv := fast.PredictedSec[vm]
-			if d := (fv - cv) / cv; d > 0.10 || d < -0.10 {
-				t.Errorf("%s: predicted %s drifted %.1f%% from cold", name, vm, d*100)
-			}
-		}
 	}
 }
 
@@ -188,7 +135,7 @@ func TestDecodeSnapshotWithoutPlanField(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy snapshot without plan field failed to decode: %v", err)
 	}
-	if decoded.plan.peek() != nil {
+	if decoded.sys.plan.peek() != nil {
 		t.Fatal("plan appeared from nowhere on a legacy snapshot")
 	}
 	app := mustApp(t, "Spark-lr")
@@ -345,8 +292,9 @@ func TestPlanFieldKeepsPriorFormat(t *testing.T) {
 
 // TestPredictFastFoldInFailureFallsBack: when the fold-in cannot place the
 // target (here the plan's label factors overflow the ridge system), the
-// prediction degrades exactly like a failed cold solve — the raw sandbox
-// memberships, Converged false — instead of erroring or serving NaNs.
+// prediction degrades to the raw sandbox memberships with Converged false,
+// measuring exactly what a placed prediction measures, instead of erroring
+// or serving NaNs.
 func TestPredictFastFoldInFailureFallsBack(t *testing.T) {
 	snap := planSnapshot(t)
 	app := mustApp(t, "Spark-lr")
@@ -357,11 +305,11 @@ func TestPredictFastFoldInFailureFallsBack(t *testing.T) {
 	if !base.Converged {
 		t.Fatalf("fixture: the real plan must place %s", app.Name)
 	}
-	huge := snap.plan.peek().l.Clone()
+	huge := snap.sys.plan.peek().l.Clone()
 	for i := range huge.Data {
 		huge.Data[i] = 1e300
 	}
-	snap.plan = &planHolder{done: true, plan: &predictPlan{l: huge}}
+	snap.sys.plan = &planHolder{done: true, plan: &predictPlan{l: huge}}
 	pred, err := snap.PredictFast(app, planMeter(7))
 	if err != nil {
 		t.Fatal(err)
@@ -373,11 +321,121 @@ func TestPredictFastFoldInFailureFallsBack(t *testing.T) {
 	if raw := sharpMemberships(k.KM, pred.PrunedVec, k.Sigma); !reflect.DeepEqual(pred.LabelWeights, raw) {
 		t.Fatalf("label weights %v, want the raw sandbox memberships %v", pred.LabelWeights, raw)
 	}
-	cold, err := snap.Predict(app, planMeter(7))
+	if pred.OnlineRuns != base.OnlineRuns || !reflect.DeepEqual(pred.ObservedSec, base.ObservedSec) {
+		t.Fatal("fallback changed what was measured")
+	}
+}
+
+// TestPredictOnlineIsPredictFast pins the single transfer arm: over the 12
+// Spark targets, System.PredictOnline, PredictBatch at 1 and 4 workers,
+// Snapshot.PredictFast and a decoded snapshot's PredictFast all return the
+// same predictions, on the trained knowledge and again after one absorb.
+func TestPredictOnlineIsPredictFast(t *testing.T) {
+	sys, _ := trainedSystem(t)
+	snap, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.OnlineRuns != cold.OnlineRuns || !reflect.DeepEqual(pred.ObservedSec, cold.ObservedSec) {
-		t.Fatal("fallback changed what was measured")
+	targets := workload.TargetSet()
+	if len(targets) != 12 {
+		t.Fatalf("%d targets, want the 12 Spark apps", len(targets))
+	}
+	check := func(stage string, snap *Snapshot) {
+		t.Helper()
+		// The 4-worker batch runs first, so on the trained stage its workers
+		// race to build the plan.
+		var batches [][]*Prediction
+		for _, workers := range []int{4, 1} {
+			pool := *sys
+			pool.cfg.Workers = workers
+			batch, err := pool.PredictBatch(targets, func(int) oracle.Service { return planMeter(7) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches = append(batches, batch)
+		}
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeSnapshot(&buf, snap.Config(), snap.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, app := range targets {
+			want, err := sys.PredictOnline(app, planMeter(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			arms := map[string]*Prediction{"batch-w4": batches[0][i], "batch-w1": batches[1][i]}
+			if arms["snapshot"], err = snap.PredictFast(app, planMeter(7)); err != nil {
+				t.Fatal(err)
+			}
+			if arms["decoded"], err = decoded.PredictFast(app, planMeter(7)); err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range arms {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s: %s prediction differs from PredictOnline", stage, app.Name, name)
+				}
+			}
+		}
+	}
+	check("trained", snap)
+
+	pred, err := sys.PredictOnline(targets[0], planMeter(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AbsorbTarget("absorbed", pred.LabelWeights, pred.PrunedVec); err != nil {
+		t.Fatal(err)
+	}
+	next, err := snap.Absorb("absorbed", pred.LabelWeights, pred.PrunedVec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after absorb", next)
+}
+
+// TestInstallingKnowledgeResetsPlan: TrainFromData and LoadKnowledge give
+// the system a new, unbuilt plan, while a snapshot taken earlier keeps the
+// built plan of the knowledge it copied.
+func TestInstallingKnowledgeResetsPlan(t *testing.T) {
+	sys, err := New(Config{Seed: 1, K: 3}, smallCatalog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sys.CollectOffline(workload.BySet(workload.SourceTraining)[:6], smallMeter())
+	if err := sys.TrainFromData(data); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.PreparePlan(); err != nil {
+		t.Fatal(err)
+	}
+	built := snap.sys.plan
+	if sys.plan != built {
+		t.Fatal("snapshot does not share the system's plan holder")
+	}
+	var saved bytes.Buffer
+	if err := sys.SaveKnowledge(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for name, install := range map[string]func() error{
+		"TrainFromData": func() error { return sys.TrainFromData(data) },
+		"LoadKnowledge": func() error { return sys.LoadKnowledge(bytes.NewReader(saved.Bytes())) },
+	} {
+		if err := install(); err != nil {
+			t.Fatal(err)
+		}
+		if sys.plan == built || sys.plan.peek() != nil {
+			t.Fatalf("%s kept the previous knowledge's plan", name)
+		}
+		if !snap.PlanReady() || snap.sys.plan != built {
+			t.Fatalf("%s reached the earlier snapshot's plan", name)
+		}
 	}
 }

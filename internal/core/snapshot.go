@@ -17,16 +17,11 @@ import (
 
 // Snapshot is an immutable copy of a trained system, stamped with an epoch.
 // Epoch 0 is the snapshot taken from the trained (or loaded) system; every
-// Absorb increments it. All methods are safe for concurrent use: Predict
+// Absorb increments it. All methods are safe for concurrent use: PredictFast
 // never writes, and Absorb writes only to a fresh deep copy.
 type Snapshot struct {
 	sys   *System
 	epoch uint64
-	// plan is the lineage-shared predict plan (see plan.go): every snapshot
-	// descended from the same epoch-0 snapshot points at the same holder,
-	// because Absorb never changes the source matrices the plan is built
-	// from.
-	plan *planHolder
 }
 
 // Snapshot captures the system's trained state as an immutable snapshot at
@@ -36,13 +31,16 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	if s.knowledge == nil {
 		return nil, fmt.Errorf("vesta: Snapshot before TrainOffline")
 	}
-	return &Snapshot{sys: s.cloneForSnapshot(), epoch: 0, plan: &planHolder{}}, nil
+	return &Snapshot{sys: s.cloneForSnapshot(), epoch: 0}, nil
 }
 
 // cloneForSnapshot deep-copies the parts of the system that any mutation
 // path writes to. The PCA result, measurement tables, and source rows are
 // write-once after training, so the clones share them; the graph and the
-// K-Means model are rewritten by AbsorbTarget and must be owned.
+// K-Means model are rewritten by AbsorbTarget and must be owned. The plan
+// holder is shared: every snapshot descended from the same trained
+// knowledge points at it, because neither Absorb nor AbsorbCatalog changes
+// the source matrices the plan is built from.
 func (s *System) cloneForSnapshot() *System {
 	k := s.knowledge
 	byName := make(map[string]cloud.VMType, len(s.byName))
@@ -59,6 +57,7 @@ func (s *System) cloneForSnapshot() *System {
 		catVersion: s.catVersion,
 		trained:    s.trained, // write-once at New; shared across the lineage
 		knowledge:  &kc,
+		plan:       s.plan,
 	}
 }
 
@@ -120,46 +119,27 @@ func (sn *Snapshot) VM(name string) (cloud.VMType, bool) {
 	return v, ok
 }
 
-// Predict runs the online predicting phase against the frozen knowledge
-// with the cold SGD solve of Algorithm 1. It is the offline/report arm —
-// the solve System.PredictOnline runs for `vesta predict` and every
-// results/*.md experiment — while serving (/predict and /absorb alike) goes
-// through PredictFast.
-// It is read-only with respect to the snapshot: any number of Predict calls
-// may run concurrently with each other and with Absorb on the same snapshot.
-// For a fixed (snapshot, target, meter stream) the prediction is
-// bit-identical regardless of concurrency.
-func (sn *Snapshot) Predict(target workload.App, meter oracle.Service) (*Prediction, error) {
-	return sn.sys.PredictOnline(target, meter)
-}
-
-// PredictFast is Predict through the lineage's precomputed plan: instead of
-// re-solving the whole CMF problem by SGD, the target row is folded in
-// against the plan's converged label factors in closed form (one small
-// linear solve, no CMF rng). Profiling, calibration and ranking are
-// Predict's. The result is a pure function of (snapshot, target, meter
-// stream) exactly like Predict — the same bytes at any concurrency, whether
-// the plan was built eagerly, lazily, or decoded from a checkpoint — but it
-// is not Predict's SGD trajectory, so PredictFast and Predict may rank
-// borderline VMs differently (accuracy bounds in internal/bench). A fold-in
-// that fails falls back to the sandbox memberships with Converged false,
-// as a failed solve does in Predict.
+// PredictFast runs the online predicting phase (System.PredictOnline)
+// against the frozen knowledge: the target row is folded in against the
+// lineage's precomputed plan in closed form (one small linear solve, no CMF
+// rng). It is read-only with respect to the snapshot: any number of
+// PredictFast calls may run concurrently with each other and with Absorb on
+// the same snapshot. The result is a pure function of (snapshot, target,
+// meter stream) — the same bytes at any concurrency, whether the plan was
+// built eagerly, lazily, or decoded from a checkpoint. A fold-in that fails
+// falls back to the sandbox memberships with Converged false.
 //
-// The first PredictFast of a lineage builds the plan (one cold solve);
+// The first prediction of a lineage builds the plan (one cold solve);
 // concurrent callers block on that build and then share it.
 func (sn *Snapshot) PredictFast(target workload.App, meter oracle.Service) (*Prediction, error) {
-	plan, err := sn.plan.get(sn.sys)
-	if err != nil {
-		return nil, err
-	}
-	return sn.sys.predictWith(target, meter, plan)
+	return sn.sys.PredictOnline(target, meter)
 }
 
 // PreparePlan forces the lineage's plan to exist (the same build PredictFast
 // triggers lazily), so a server can pay the one-time cold solve at publish
 // time instead of on the first request. Safe to call repeatedly.
 func (sn *Snapshot) PreparePlan() error {
-	_, err := sn.plan.get(sn.sys)
+	_, err := sn.sys.plan.get(sn.sys)
 	return err
 }
 
@@ -167,7 +147,7 @@ func (sn *Snapshot) PreparePlan() error {
 // eagerly via PreparePlan, lazily by a PredictFast, or restored from an
 // encoded checkpoint. A recovered checkpoint that carried the plan field
 // reports true without ever paying the plan solve.
-func (sn *Snapshot) PlanReady() bool { return sn.plan.peek() != nil }
+func (sn *Snapshot) PlanReady() bool { return sn.sys.plan.peek() != nil }
 
 // Absorb returns a new snapshot, one epoch later, with the completed target
 // recorded in the knowledge graph (AbsorbTarget semantics). The receiver is
@@ -185,10 +165,7 @@ func (sn *Snapshot) Absorb(name string, labelWeights, prunedVec []float64) (*Sna
 	if err := clone.AbsorbTarget(name, labelWeights, prunedVec); err != nil {
 		return nil, err
 	}
-	// The plan holder is shared, not copied: AbsorbTarget only adds a
-	// workload node and refits K-Means, so the source matrices the plan is
-	// built from are unchanged and any plan already built stays valid.
-	return &Snapshot{sys: clone, epoch: sn.epoch + 1, plan: sn.plan}, nil
+	return &Snapshot{sys: clone, epoch: sn.epoch + 1}, nil
 }
 
 // AbsorbCatalog returns a new snapshot, one epoch and one catalog version
@@ -215,8 +192,5 @@ func (sn *Snapshot) AbsorbCatalog(up cloud.Update) (*Snapshot, error) {
 	clone.catalog = next.Types()
 	clone.byName = cloud.ByName(clone.catalog)
 	clone.catVersion = next.Version()
-	// The plan holder is shared for the same reason Absorb shares it: the
-	// CMF source matrices the plan is built from never reference the
-	// catalog, only the knowledge graph's trained vocabulary.
-	return &Snapshot{sys: clone, epoch: sn.epoch + 1, plan: sn.plan}, nil
+	return &Snapshot{sys: clone, epoch: sn.epoch + 1}, nil
 }

@@ -72,7 +72,7 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 		sj.CatalogVersion = sn.sys.catVersion
 		sj.Catalog = sn.sys.catalog
 	}
-	if plan, err := sn.plan.get(sn.sys); err == nil {
+	if plan, err := sn.sys.plan.get(sn.sys); err == nil {
 		sj.Plan = &planJSON{
 			X:      matrixRows(plan.x),
 			T:      matrixRows(plan.t),
@@ -128,7 +128,7 @@ func DecodeSnapshot(r io.Reader, cfg Config, catalog []cloud.VMType) (*Snapshot,
 		if err != nil {
 			return nil, err
 		}
-		sn.plan = &planHolder{done: true, plan: plan}
+		sn.sys.plan = &planHolder{done: true, plan: plan}
 	}
 	return sn, nil
 }

@@ -33,7 +33,7 @@ func codecFixture(t *testing.T) (*Snapshot, Config, []cloud.VMType) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := base.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 42))
+	pred, err := base.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := snap.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
+	want, err := snap.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dec.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
+	got, err := dec.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 	// And further absorbs on the decoded snapshot behave like the original's:
 	// the K-Means refit draws from the persisted source vectors and seed.
-	pred2, err := snap.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 9))
+	pred2, err := snap.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSnap, err := snap.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
+	fromSnap, err := snap.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if third.Epoch() != 2 || third.Workloads() != base+2 {
 		t.Fatalf("third = (epoch %d, workloads %d)", third.Epoch(), third.Workloads())
 	}
-	if _, err := third.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7)); err != nil {
+	if _, err := third.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 7)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,7 +91,7 @@ func TestSnapshotAbsorbValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := snap.Predict(mustApp(t, "Spark-grep"), oracle.NewMeter(sim.New(sim.DefaultConfig()), 3))
+	pred, err := snap.PredictFast(mustApp(t, "Spark-grep"), oracle.NewMeter(sim.New(sim.DefaultConfig()), 3))
 	if err != nil {
 		t.Fatal(err)
 	}

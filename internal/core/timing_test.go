@@ -27,13 +27,13 @@ func (s profileOnlyService) TryTime(app workload.App, vm cloud.VMType) (sim.Timi
 type pipelineOutputs struct {
 	snapshot    []byte
 	offlineRuns int
-	predictions [][2]*Prediction // cold, fast (plan fold-in) per target
+	predictions []*Prediction // one per target
 	steps       [][]oracle.Step
 	trace       []byte
 }
 
 // runPipeline trains on the source workloads, then predicts every Spark
-// target on the cold and plan fold-in paths and runs a short
+// target and runs a short
 // time-budgeted optimization for each, all through meters from newMeter and
 // with one tracer observing system and meters alike.
 func runPipeline(t *testing.T, raw bool, newMeter func(seed uint64, tr *obs.Tracer) oracle.Service) pipelineOutputs {
@@ -62,14 +62,11 @@ func runPipeline(t *testing.T, raw bool, newMeter func(seed uint64, tr *obs.Trac
 		if target.Set != workload.Target {
 			continue
 		}
-		var preds [2]*Prediction
-		if preds[0], err = snap.Predict(target, newMeter(7, tracer)); err != nil {
+		pred, err := snap.PredictFast(target, newMeter(7, tracer))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if preds[1], err = snap.PredictFast(target, newMeter(7, tracer)); err != nil {
-			t.Fatal(err)
-		}
-		out.predictions = append(out.predictions, preds)
+		out.predictions = append(out.predictions, pred)
 		steps, _, err := sys.OptimizeFor(target, 8, MinimizeTime, newMeter(9, tracer))
 		if err != nil {
 			t.Fatal(err)
@@ -111,10 +108,8 @@ func TestTimingOnlyMeasurementsChangeNothing(t *testing.T) {
 			t.Fatalf("raw=%v: offline runs %d, reference %d", raw, got.offlineRuns, want.offlineRuns)
 		}
 		for i := range got.predictions {
-			for path, name := range []string{"cold", "fast"} {
-				if !reflect.DeepEqual(got.predictions[i][path], want.predictions[i][path]) {
-					t.Fatalf("raw=%v: %s prediction of %s differs", raw, name, got.predictions[i][path].Target)
-				}
+			if !reflect.DeepEqual(got.predictions[i], want.predictions[i]) {
+				t.Fatalf("raw=%v: prediction of %s differs", raw, got.predictions[i].Target)
 			}
 		}
 		if !reflect.DeepEqual(got.steps, want.steps) {

@@ -18,7 +18,9 @@
 //     (Section 4.2) — the only measurements charged to the new framework.
 //  2. Place the target in label space via CMF with shared label factors,
 //     treating the noisy single-run memberships as sparse observations
-//     (Algorithm 1 lines 5-12).
+//     (Algorithm 1 lines 5-12): the factors are fit once per trained
+//     knowledge, and each target row is folded in against them in closed
+//     form.
 //  3. Walk the bipartite graph to rank VM types, calibrate absolute time
 //     predictions with the observed runs, and return the best VM.
 //
@@ -88,7 +90,9 @@ type Config struct {
 	// Spark-svd++ and Spark-CF, trip it while the other targets transfer;
 	// the margin to the worst-matched regular target is comfortable).
 	MatchThreshold float64
-	// CMFEpochs bounds online SGD. Default 300.
+	// CMFEpochs bounds the SGD epochs of the plan solve, the one CMF solve
+	// per trained knowledge that fits the shared label factors every
+	// prediction folds its target into. Default 300.
 	CMFEpochs int
 	// UseRawFeatures replaces the Table 1 correlation vectors with raw mean
 	// metric levels as the workload representation. Exists only for the
@@ -101,7 +105,7 @@ type Config struct {
 	// (offline collection, K-Means restarts, batch predictions); <= 0 means
 	// one per CPU. Results are identical at every worker count.
 	Workers int
-	// Tracer receives phase spans, degradation events, and the CMF/K-Means
+	// Tracer receives phase spans, degradation events, and the K-Means
 	// gauge streams (DESIGN.md §9). Nil (the default) disables tracing at
 	// the cost of a pointer check per instrumentation site; the serialized
 	// trace is byte-identical at every Workers value for the same Seed.
@@ -187,8 +191,8 @@ type Prediction struct {
 	// shape AbsorbTarget (and Snapshot.Absorb) expects, so a completed
 	// prediction can join the knowledge graph without re-profiling.
 	PrunedVec []float64
-	// Converged is false when the SGD did not converge or the target could
-	// not match the offline knowledge (Spark-CF case).
+	// Converged is false when the fold-in could not place the target or the
+	// target could not match the offline knowledge (Spark-CF case).
 	Converged bool
 	// MatchDistance is the distance to the closest source in label space.
 	MatchDistance float64
@@ -221,6 +225,12 @@ type System struct {
 	// shared (not copied) by every clone in the lineage.
 	trained   map[string]cloud.VMType
 	knowledge *Knowledge
+	// plan is the lazily built predict plan of the current knowledge (see
+	// plan.go). Installing knowledge (TrainFromData, LoadKnowledge) gives the
+	// system a fresh holder; AbsorbTarget and catalog updates leave the
+	// source memberships and the label-VM layer the plan is built from
+	// unchanged, so snapshot clones share it.
+	plan *planHolder
 }
 
 // New creates a Vesta system over the given catalog.
@@ -533,7 +543,7 @@ func (s *System) TrainFromData(data *OfflineData) error {
 	for i, app := range sources {
 		names[i] = app.Name
 	}
-	s.knowledge = &Knowledge{
+	s.setKnowledge(&Knowledge{
 		Labels: labels, Kept: kept, PCA: pcaRes, KM: km, Graph: graph,
 		SourceNames: names, SourceVecs: vecs, SourceMemberships: memberships,
 		Sigma: sigma, BestTimes: best, Times: times,
@@ -541,8 +551,15 @@ func (s *System) TrainFromData(data *OfflineData) error {
 		SkippedCells:   data.SkippedCells,
 		DroppedSources: append([]string(nil), data.DroppedSources...),
 		InvalidVectors: invalidVecs,
-	}
+	})
 	return nil
+}
+
+// setKnowledge installs trained knowledge together with a fresh, unbuilt
+// plan holder. Snapshots taken earlier keep the holder of the knowledge
+// they copied.
+func (s *System) setKnowledge(k *Knowledge) {
+	s.knowledge, s.plan = k, &planHolder{}
 }
 
 // sharpMemberships maps a pruned correlation vector to label weights with a
@@ -579,7 +596,10 @@ func project(v []float64, kept []int) []float64 {
 }
 
 // PredictOnline runs the online predicting phase for one target workload
-// (Section 4.2, Algorithm 1 lines 2, 5-14).
+// (Section 4.2, Algorithm 1 lines 2, 5-14). The target row is folded in
+// against the label factors of the knowledge's predict plan (plan.go); the
+// first prediction after training builds the plan with one cold CMF solve,
+// and concurrent callers block on that build and then share it.
 //
 // Degradation ladder under fault injection: a failed random-pick VM is
 // substituted by the next VM in the same random permutation (the paper's
@@ -588,16 +608,13 @@ func project(v []float64, kept []int) []float64 {
 // unrecoverable sandbox run — the target's feature vector and calibration
 // anchor — aborts the prediction, with ErrSandboxFailed.
 func (s *System) PredictOnline(target workload.App, meter oracle.Service) (*Prediction, error) {
-	return s.predictWith(target, meter, nil)
-}
-
-// predictWith is the online phase parameterized by an optional precomputed
-// plan (see plan.go and Snapshot.PredictFast). A nil plan is the historical
-// cold path, bit-identical to every release before plans existed.
-func (s *System) predictWith(target workload.App, meter oracle.Service, plan *predictPlan) (*Prediction, error) {
 	k := s.knowledge
 	if k == nil {
 		return nil, fmt.Errorf("vesta: PredictOnline before TrainOffline")
+	}
+	plan, err := s.plan.get(s)
+	if err != nil {
+		return nil, err
 	}
 	traceKey := ""
 	if s.cfg.Tracer.Enabled() {
@@ -662,7 +679,7 @@ func (s *System) predictWith(target workload.App, meter oracle.Service, plan *pr
 	}
 
 	// Lines 5-12: CMF with shared label factors over U, V, and sparse U*.
-	weights, converged := s.transfer(rawMembership, src, traceKey, plan)
+	weights, converged := s.transfer(rawMembership, plan)
 
 	// Convergence limitation (Section 5.3): measure how well the target
 	// matches the offline knowledge in correlation space. A target far from
@@ -710,7 +727,7 @@ func (s *System) predictWith(target workload.App, meter oracle.Service, plan *pr
 }
 
 // PredictBatch runs the online phase for many target workloads across the
-// worker pool, one CMF solve per target. Each target draws its randomness
+// worker pool, one fold-in per target. Each target draws its randomness
 // from a seed derived from its own name (never from a shared Source) and
 // meters through its own meter from meterFor(i), so the predictions are
 // bit-identical to calling PredictOnline sequentially, at any worker count.
@@ -743,9 +760,9 @@ const adaptNeighbors = 5
 //     adaptNeighbors nearest trained types in ResourceVector space — the
 //     same embedding the label-VM layer was built from.
 //
-// The result is re-sorted score-descending with the name tiebreak
-// ScoreVMsFromWeights uses, so downstream consumers see one deterministic
-// ranking over exactly the current catalog.
+// The result is re-sorted with bipartite.ByScore, the order
+// ScoreVMsFromWeights ranks in, so downstream consumers see one
+// deterministic ranking over exactly the current catalog.
 func (s *System) adaptRanking(ranking []bipartite.VMScore) []bipartite.VMScore {
 	if len(s.catalog) == len(ranking) {
 		same := true
@@ -771,12 +788,7 @@ func (s *System) adaptRanking(ranking []bipartite.VMScore) []bipartite.VMScore {
 		}
 		out = append(out, bipartite.VMScore{VM: v.Name, Score: score})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].VM < out[j].VM
-	})
+	slices.SortFunc(out, bipartite.ByScore)
 	return out
 }
 
@@ -826,62 +838,27 @@ func (s *System) interpolateScore(v cloud.VMType, ranking []bipartite.VMScore) f
 	return num / den
 }
 
-// transfer builds and solves the CMF problem for one target membership row,
-// returning the completed, re-normalized label weights. traceKey ("" when
-// tracing is off) scopes the per-epoch CMF gauge streams to this target.
-// With a non-nil plan the target row is folded in against the plan's
-// converged label factors in closed form (cmf.FoldIn), drawing no rng; with
-// nil the full problem is solved cold by SGD (Algorithm 1), the historical
-// bit-exact path. Either way a failed solve yields the raw memberships and
-// converged=false.
-func (s *System) transfer(rawMembership []float64, src *rng.Source, traceKey string, plan *predictPlan) ([]float64, bool) {
-	k := s.knowledge
-	nLabels := len(k.Labels)
-
+// transfer places one target membership row in label space (Algorithm 1
+// lines 5-12): the strongest memberships are the observed cells of the
+// sparse U* row, which is folded in against the plan's converged label
+// factors in closed form (cmf.FoldIn), drawing no rng. It returns the
+// completed, re-normalized label weights; a failed fold-in yields the raw
+// memberships and converged=false.
+func (s *System) transfer(rawMembership []float64, plan *predictPlan) ([]float64, bool) {
+	nLabels := len(s.knowledge.Labels)
 	ustar := mat.New(1, nLabels)
 	mask := mat.New(1, nLabels)
 	// Observe only the strongest memberships: a single noisy sandbox run
 	// reliably reveals the dominant label affinities, not the tail.
-	type wi struct {
-		w float64
-		i int
-	}
-	order := make([]wi, nLabels)
-	for i, w := range rawMembership {
-		order[i] = wi{w, i}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].w != order[b].w {
-			return order[a].w > order[b].w
-		}
-		return order[a].i < order[b].i
-	})
-	for n := 0; n < min(s.cfg.ObservedLabels, nLabels); n++ {
-		idx := order[n].i
+	for _, idx := range strongest(rawMembership, s.cfg.ObservedLabels) {
 		ustar.Set(0, idx, rawMembership[idx])
 		mask.Set(0, idx, 1)
 	}
 
-	cmfCfg := s.planCMFConfig()
-	var filled *mat.Matrix
-	var converged bool
-	if plan != nil {
-		filled, converged = cmf.FoldIn(ustar, mask, plan.l, cmfCfg)
-	} else {
-		if traceKey != "" {
-			cmfCfg.Tracer = s.cfg.Tracer
-			cmfCfg.TraceKey = traceKey + "/cmf"
-		}
-		u := mat.FromRows(k.SourceMemberships)
-		v := k.Graph.LV().T() // vms x labels
-		if res, err := cmf.Solve(cmf.Problem{U: u, V: v, UStar: ustar, Mask: mask}, cmfCfg, src.Jump()); err == nil {
-			filled, converged = res.Completed, res.Converged
-		}
-	}
-	if filled == nil {
+	filled, converged := cmf.FoldIn(ustar, mask, plan.l, s.planCMFConfig())
+	if !converged {
 		return rawMembership, false
 	}
-
 	completed := filled.Row(0)
 	// Clamp negatives and re-normalize to a membership distribution; keep
 	// the observed entries authoritative.
@@ -904,6 +881,25 @@ func (s *System) transfer(rawMembership []float64, src *rng.Source, traceKey str
 		completed[i] /= total
 	}
 	return completed, converged
+}
+
+// strongest returns the indices of the n largest weights (all of them when
+// n exceeds len(w)), largest first, ties broken by the smaller index.
+func strongest(w []float64, n int) []int {
+	order := make([]int, len(w))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if w[a] != w[b] {
+			if w[a] > w[b] {
+				return -1
+			}
+			return 1
+		}
+		return a - b
+	})
+	return order[:min(n, len(w))]
 }
 
 // calibrate turns graph scores into absolute time predictions using the

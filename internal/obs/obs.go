@@ -51,11 +51,11 @@ const (
 type Record struct {
 	Kind Kind
 	// Key is the stable identity and primary sort key, e.g.
-	// "predict/Spark-wordcount/cmf/loss". Keys embed whatever context
+	// "offline/kmeans/inertia". Keys embed whatever context
 	// (target, VM, attempt, restart) makes the record's content a pure
 	// function of the key.
 	Key string
-	// Epoch indexes gauge samples within a stream (SGD epoch, restart
+	// Epoch indexes gauge samples within a stream (e.g. the restart
 	// number); the secondary, numeric sort key.
 	Epoch int
 	// Value is the gauge sample.

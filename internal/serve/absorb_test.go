@@ -97,12 +97,10 @@ func TestAbsorbAppRecordsFoldIn(t *testing.T) {
 	}
 }
 
-// TestAbsorbAppServesLikeSGDAbsorbs is the safety argument for absorbing
-// through the plan: absorbed label weights land only in the graph's
-// workload→label layer, which no prediction reads, so a server fed the cold
-// SGD solve's weights and one fed the fold-in's answer every request with
-// the same bytes after every absorb — at every worker count.
-func TestAbsorbAppServesLikeSGDAbsorbs(t *testing.T) {
+// TestAbsorbAppServesIdenticallyAtAnyWorkerCount: after every absorb of the
+// plan, each request is answered with the same bytes at 1, 4 and 16
+// workers.
+func TestAbsorbAppServesIdenticallyAtAnyWorkerCount(t *testing.T) {
 	keys := []Request{
 		{App: "Spark-kmeans", Top: 5},
 		{App: "Spark-sort", Seed: 9, InputGB: 3, Top: 120},
@@ -112,32 +110,13 @@ func TestAbsorbAppServesLikeSGDAbsorbs(t *testing.T) {
 	}
 	var ref [][]byte // every body at workers 1, in (absorb, key) order
 	for _, workers := range []int{1, 4, 16} {
-		sgdWAL, foldWAL := &absorbRecorder{}, &absorbRecorder{}
-		sgd := newTestServer(t, Config{Workers: workers, WAL: sgdWAL})
-		fold := newTestServer(t, Config{Workers: workers, WAL: foldWAL})
+		s := newTestServer(t, Config{Workers: workers})
 		var bodies [][]byte
 		for _, ab := range absorbPlan {
-			preq, app, err := sgd.resolve(Request{App: ab.App, InputGB: ab.InputGB, Seed: ab.Seed})
-			if err != nil {
+			if _, err := s.AbsorbApp(ab); err != nil {
 				t.Fatal(err)
 			}
-			pred, err := sgd.Snapshot().Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), preq.Seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sgd.Absorb(ab.Name, pred.LabelWeights, pred.PrunedVec); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fold.AbsorbApp(ab); err != nil {
-				t.Fatal(err)
-			}
-			a, b := predictAll(t, sgd, keys), predictAll(t, fold, keys)
-			for i := range keys {
-				if !bytes.Equal(a[i], b[i]) {
-					t.Fatalf("workers=%d after %s, %+v:\n  sgd: %s\n fold: %s", workers, ab.Name, keys[i], a[i], b[i])
-				}
-			}
-			bodies = append(bodies, a...)
+			bodies = append(bodies, predictAll(t, s, keys)...)
 		}
 		if ref == nil {
 			ref = bodies
@@ -146,15 +125,6 @@ func TestAbsorbAppServesLikeSGDAbsorbs(t *testing.T) {
 			if !bytes.Equal(bodies[i], ref[i]) {
 				t.Fatalf("workers=%d: body %d differs from workers=1", workers, i)
 			}
-		}
-		// The two servers really did store different weights; otherwise the
-		// byte identity above would prove nothing.
-		differ := false
-		for i := range sgdWAL.weights {
-			differ = differ || !sameBits(sgdWAL.weights[i], foldWAL.weights[i])
-		}
-		if !differ {
-			t.Fatal("SGD and fold-in absorbs stored identical weights; the test exercises nothing")
 		}
 	}
 }

@@ -59,8 +59,9 @@ func BenchmarkServeWorkers16NoCache(b *testing.B) { benchServe(b, 16, Config{NoC
 // The uncached-arm ladder of DESIGN.md §12, all at 4 workers with the
 // response cache off so every request pays the predict path:
 //
-//	Legacy     — Snapshot.Predict called directly: the cold CMF solve of
-//	             Algorithm 1 with an unmemoized meter, outside the server.
+//	Legacy     — the pre-plan algorithm, rebuilt as a reference outside
+//	             the server: an unmemoized meter plus a cold CMF solve of
+//	             Algorithm 1 per request (legacyArm).
 //	FoldIn     — the serving path with profile memoization off.
 //	FoldInMemo — the default serving path (fold-in + profile memoization).
 func BenchmarkPredictNoCacheLegacy(b *testing.B) {

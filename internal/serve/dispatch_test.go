@@ -82,7 +82,7 @@ func TestSupersededMissAnswersNewEpoch(t *testing.T) {
 	resA := predictAsync(s, reqA)
 	<-gate.entered
 	meter := oracle.NewMeter(sim.New(sim.DefaultConfig()), 42)
-	pred, err := s.Snapshot().Predict(mustApp(t, "Spark-grep"), meter)
+	pred, err := s.Snapshot().PredictFast(mustApp(t, "Spark-grep"), meter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestSoakPredictorsVsHotSwappers(t *testing.T) {
 
 	// One completed prediction supplies the (label weights, pruned vector)
 	// payload every absorb reuses under a unique name.
-	seedPred, err := s.Snapshot().Predict(mustApp(t, "Spark-grep"),
+	seedPred, err := s.Snapshot().PredictFast(mustApp(t, "Spark-grep"),
 		oracle.NewMeter(sim.New(sim.DefaultConfig()), 99))
 	if err != nil {
 		t.Fatal(err)

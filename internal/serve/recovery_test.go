@@ -58,7 +58,7 @@ func (f *fakeWAL) Committed(snap *core.Snapshot) error {
 func absorbArgs(t testing.TB, s *Server, app string, seed uint64) ([]float64, []float64) {
 	t.Helper()
 	meter := oracle.NewMeter(sim.New(sim.DefaultConfig()), seed)
-	pred, err := s.Snapshot().Predict(mustApp(t, app), meter)
+	pred, err := s.Snapshot().PredictFast(mustApp(t, app), meter)
 	if err != nil {
 		t.Fatal(err)
 	}

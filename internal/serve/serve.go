@@ -832,12 +832,7 @@ type AbsorbResponse struct {
 // (absorbs are rare and serialized) but honours shutdown.
 //
 // The target is placed exactly as /predict places it: Snapshot.PredictFast
-// through the memoized meter, never the cold SGD solve. That is safe
-// because the absorbed label weights land only in the graph's
-// workload→label layer, which no prediction reads (ranking reads label→VM,
-// the fold-in reads the plan's factors, and the K-Means refit reads the
-// pruned vector, which both arms compute before the solve), so every
-// response after the absorb is the one the SGD weights would give.
+// through the memoized meter.
 func (s *Server) AbsorbApp(req AbsorbRequest) (*AbsorbResponse, error) {
 	if s.cfg.ReadOnly {
 		return nil, fmt.Errorf("%w: absorbs arrive via replication", ErrReadOnly)

@@ -23,6 +23,7 @@ const baseWorkloads = 13
 
 var (
 	snapOnce sync.Once
+	snapSys  *core.System
 	snapVal  *core.Snapshot
 	snapErr  error
 )
@@ -43,12 +44,20 @@ func testSnapshot(t testing.TB) *core.Snapshot {
 			snapErr = err
 			return
 		}
+		snapSys = sys
 		snapVal, snapErr = sys.Snapshot()
 	})
 	if snapErr != nil {
 		t.Fatal(snapErr)
 	}
 	return snapVal
+}
+
+// testKnowledge is the trained knowledge behind testSnapshot. Read only.
+func testKnowledge(t testing.TB) *core.Knowledge {
+	t.Helper()
+	testSnapshot(t)
+	return snapSys.Knowledge()
 }
 
 func newTestServer(t testing.TB, cfg Config) *Server {
@@ -373,7 +382,7 @@ func TestAbsorbAdvancesEpochAndInvalidatesCache(t *testing.T) {
 	// Use a completed prediction as the absorbed target, the documented flow.
 	meter := oracle.NewMeter(sim.New(sim.DefaultConfig()), 42)
 	app := mustApp(t, "Spark-grep")
-	pred, err := s.Snapshot().Predict(app, meter)
+	pred, err := s.Snapshot().PredictFast(app, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +432,7 @@ func TestUpdateErrorKeepsPublishedSnapshot(t *testing.T) {
 func TestAbsorbDuplicateNameFails(t *testing.T) {
 	s := newTestServer(t, Config{})
 	meter := oracle.NewMeter(sim.New(sim.DefaultConfig()), 5)
-	pred, err := s.Snapshot().Predict(mustApp(t, "Spark-sort"), meter)
+	pred, err := s.Snapshot().PredictFast(mustApp(t, "Spark-sort"), meter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func candidateSnapshot(t testing.TB) *core.Snapshot {
 			candErr = err
 			return
 		}
-		pred, err := base.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 42))
+		pred, err := base.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), 42))
 		if err != nil {
 			candErr = err
 			return

@@ -39,7 +39,7 @@ func extendedChain(t testing.TB) ([]*core.Snapshot, []Record) {
 				extErr = err
 				return
 			}
-			pred, err := cur.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), uint64(200+i)))
+			pred, err := cur.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), uint64(200+i)))
 			if err != nil {
 				extErr = err
 				return

@@ -60,7 +60,7 @@ func fixture(t testing.TB) ([]*core.Snapshot, []Record) {
 				fixErr = err
 				return
 			}
-			pred, err := cur.Predict(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), uint64(100+i)))
+			pred, err := cur.PredictFast(app, oracle.NewMeter(sim.New(sim.DefaultConfig()), uint64(100+i)))
 			if err != nil {
 				fixErr = err
 				return
