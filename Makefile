@@ -35,12 +35,15 @@ report:
 
 # trace demonstrates the observability layer (DESIGN.md §9): it runs the
 # offline + online pipeline with tracing on at two worker counts and proves
-# the serialized records are byte-identical before printing a summary.
+# the serialized records are byte-identical before printing a summary. Its
+# files live in a private temporary directory removed on exit, so concurrent
+# checkouts never share them.
 trace:
-	$(GO) run ./cmd/vesta profile -out /tmp/vesta-trace-k.json -trace /tmp/vesta-trace-w1.jsonl -workers 1
-	$(GO) run ./cmd/vesta profile -out /tmp/vesta-trace-k.json -trace /tmp/vesta-trace-w8.jsonl -workers 8
-	cmp /tmp/vesta-trace-w1.jsonl /tmp/vesta-trace-w8.jsonl
-	$(GO) run ./cmd/vesta predict -knowledge /tmp/vesta-trace-k.json -app Spark-lr -trace /tmp/vesta-predict.jsonl -v
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -x; \
+	$(GO) run ./cmd/vesta profile -out "$$dir/k.json" -trace "$$dir/w1.jsonl" -workers 1; \
+	$(GO) run ./cmd/vesta profile -out "$$dir/k.json" -trace "$$dir/w8.jsonl" -workers 8; \
+	cmp "$$dir/w1.jsonl" "$$dir/w8.jsonl"; \
+	$(GO) run ./cmd/vesta predict -knowledge "$$dir/k.json" -app Spark-lr -trace "$$dir/predict.jsonl" -v
 	@echo "trace records are byte-identical at -workers 1 and 8"
 
 # lint runs gofmt plus staticcheck when it is installed (CI pins its own

@@ -64,7 +64,8 @@ type Config struct {
 	K int
 	// Lambda is the CMF tradeoff; the paper's best practice is 0.75. Zero is
 	// legal (a pure-source ablation) but must be marked with LambdaSet to be
-	// distinguishable from the unset zero value.
+	// distinguishable from the unset zero value. New rejects values outside
+	// [0, 1] and NaN.
 	Lambda float64
 	// LambdaSet marks Lambda as explicitly configured; see cmf.Config.
 	LambdaSet bool
@@ -236,6 +237,9 @@ type System struct {
 // New creates a Vesta system over the given catalog.
 func New(cfg Config, catalog []cloud.VMType) (*System, error) {
 	cfg.fillDefaults()
+	if !(cfg.Lambda >= 0 && cfg.Lambda <= 1) { // NaN fails both
+		return nil, fmt.Errorf("vesta: lambda %v out of [0,1]", cfg.Lambda)
+	}
 	if len(catalog) == 0 {
 		return nil, fmt.Errorf("vesta: empty catalog")
 	}

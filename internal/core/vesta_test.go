@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vesta/internal/cloud"
@@ -43,6 +44,17 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{SandboxVM: "bogus.vm"}, catalog); err == nil {
 		t.Fatal("unknown sandbox VM accepted")
+	}
+	// A λ outside [0,1] fails at construction, not at the first prediction.
+	for _, lambda := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := New(Config{Lambda: lambda}, catalog); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+			t.Fatalf("lambda %v: err = %v, want out of [0,1]", lambda, err)
+		}
+	}
+	for _, cfg := range []Config{{Lambda: 0, LambdaSet: true}, {Lambda: 1}} {
+		if _, err := New(cfg, catalog); err != nil {
+			t.Fatalf("lambda %v rejected: %v", cfg.Lambda, err)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,6 +78,7 @@ type Tracer struct {
 	records  []Record
 	counters map[string]int64
 	maxes    map[string]int64
+	sources  []func() any // registered by Read
 	verbose  io.Writer
 }
 
@@ -173,7 +175,7 @@ func (t *Tracer) Count(name string, delta int64) {
 // addition, max is commutative and associative, so concurrent observers
 // cannot perturb the serialized total — this is the aggregation the serving
 // layer uses for schedule-adjacent quantities whose *peak* is deterministic
-// even when the observation order is not (snapshot epoch, largest batch).
+// even when the observation order is not (snapshot epoch, catalog version).
 // Max totals serialize alongside the counters; a name must be used with
 // either Count or Max, never both.
 func (t *Tracer) Max(name string, v int64) {
@@ -181,9 +183,7 @@ func (t *Tracer) Max(name string, v int64) {
 		return
 	}
 	t.mu.Lock()
-	if cur, ok := t.maxes[name]; !ok || v > cur {
-		t.maxes[name] = v
-	}
+	raise(t.maxes, name, v)
 	t.mu.Unlock()
 }
 
@@ -223,31 +223,95 @@ func (t *Tracer) VerboseLine(line string) {
 	}
 }
 
+// Read registers a component's stats as a counter source, so a counter the
+// component already keeps is counted once, in its stats, and reaches the
+// trace from there. At every read point (Counter, Records) the tracer calls
+// stats and folds the returned struct's top-level integer fields tagged
+// `trace:"name"` into the counter totals, summing sources that share a
+// name; `trace:"name,max"` marks a peak, folded like Max. Zero fields are
+// skipped, so a source counter appears once it first moves, as one counted
+// through Count would. Nested fields are not read: a nested component
+// registers its own stats. stats is called without the tracer's lock held,
+// so it may take locks under which its component records events.
+func (t *Tracer) Read(stats func() any) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.sources = append(t.sources, stats)
+	t.mu.Unlock()
+}
+
 // Counter returns the current total of one counter (or Max aggregate).
 func (t *Tracer) Counter(name string) int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n, ok := t.counters[name]; ok {
-		return n
-	}
-	return t.maxes[name]
+	return t.totals()[name]
 }
 
-// Counters returns a copy of all counter totals.
-func (t *Tracer) Counters() map[string]int64 {
-	if t == nil {
-		return nil
+// totals merges the Count and Max aggregates with every source's tagged
+// fields. Sources are called outside t.mu (see Read).
+func (t *Tracer) totals() map[string]int64 {
+	t.mu.Lock()
+	sources := t.sources
+	t.mu.Unlock()
+	sums, peaks := map[string]int64{}, map[string]int64{}
+	for _, stats := range sources {
+		foldTagged(stats(), sums, peaks)
 	}
+
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]int64, len(t.counters))
-	for k, v := range t.counters {
-		out[k] = v
+	for name, n := range t.counters {
+		sums[name] += n
 	}
-	return out
+	for name, n := range t.maxes {
+		raise(peaks, name, n)
+	}
+	for name, n := range peaks {
+		sums[name] = n // Count/Max name reuse is a caller bug; max wins
+	}
+	return sums
+}
+
+// foldTagged adds the nonzero `trace`-tagged integer fields of stats (a
+// struct or a pointer to one) to sums, or to peaks for `,max` tags.
+func foldTagged(stats any, sums, peaks map[string]int64) {
+	v := reflect.Indirect(reflect.ValueOf(stats))
+	if v.Kind() != reflect.Struct {
+		return
+	}
+	for i := 0; i < v.NumField(); i++ {
+		tag, ok := v.Type().Field(i).Tag.Lookup("trace")
+		if !ok {
+			continue
+		}
+		var n int64
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			n = f.Int()
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			n = int64(f.Uint())
+		default:
+			continue
+		}
+		if n == 0 {
+			continue
+		}
+		if name, peak := strings.CutSuffix(tag, ",max"); peak {
+			raise(peaks, name, n)
+		} else {
+			sums[name] += n
+		}
+	}
+}
+
+// raise lifts m[name] to at least n.
+func raise(m map[string]int64, name string, n int64) {
+	if cur, ok := m[name]; !ok || n > cur {
+		m[name] = n
+	}
 }
 
 // Records returns the deterministic, sorted view of everything collected so
@@ -259,19 +323,12 @@ func (t *Tracer) Records() []Record {
 	}
 	t.mu.Lock()
 	out := append([]Record(nil), t.records...)
-	totals := make(map[string]int64, len(t.counters)+len(t.maxes))
-	names := make([]string, 0, len(t.counters)+len(t.maxes))
-	for name, n := range t.counters {
-		totals[name] = n
+	t.mu.Unlock()
+	totals := t.totals()
+	names := make([]string, 0, len(totals))
+	for name := range totals {
 		names = append(names, name)
 	}
-	for name, n := range t.maxes {
-		if _, dup := totals[name]; !dup {
-			names = append(names, name)
-		}
-		totals[name] = n // Count/Max name reuse is a caller bug; max wins
-	}
-	t.mu.Unlock()
 
 	sort.Slice(out, func(a, b int) bool { return less(out[a], out[b]) })
 	sort.Strings(names)

@@ -23,8 +23,14 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.EventSim("k", "m", 2)
 	tr.Count("c", 3)
 	tr.Gauge("g", 0, 1)
+	tr.Max("m", 4)
+	tr.Read(func() any {
+		return struct {
+			N int64 `trace:"c"`
+		}{N: 5}
+	})
 	tr.SetVerbose(&bytes.Buffer{})
-	if tr.Counter("c") != 0 || tr.Counters() != nil || tr.Records() != nil {
+	if tr.Counter("c") != 0 || tr.Counter("m") != 0 || tr.Records() != nil {
 		t.Fatal("nil tracer leaked state")
 	}
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -180,5 +186,94 @@ func BenchmarkDisabledSpan(b *testing.B) {
 		if tr.Enabled() {
 			tr.Gauge("k", i, 0)
 		}
+	}
+}
+
+// readStats is a component stats struct as Read sees it: tagged integer
+// counters and a peak, plus fields Read must leave alone.
+type readStats struct {
+	Hits    int64  `json:"hits" trace:"c.hits"`
+	Applied int    `trace:"c.applied"`
+	Acks    uint64 `trace:"c.acks"`
+	Peak    int64  `trace:"c.peak,max"`
+	Idle    int64  `trace:"c.idle"` // stays zero: never serialized
+	Depth   int64  // untagged gauge
+	Note    string `trace:"c.note"` // not an integer
+	Nested  struct {
+		N int64 `trace:"c.nested"`
+	}
+}
+
+// TestReadFoldsTaggedStats: sources sharing a name sum (peaks take the
+// max), fold together with Count/Max totals, skip zero and untagged fields,
+// and never descend into nested structs; a pointer source reads like a
+// value and the fold happens at read time, not at registration.
+func TestReadFoldsTaggedStats(t *testing.T) {
+	tr := New()
+	a := readStats{Hits: 2, Applied: 1, Peak: 3, Depth: 9, Note: "x"}
+	a.Nested.N = 7
+	b := &readStats{Hits: 5, Acks: 4, Peak: 8}
+	tr.Read(func() any { return a })
+	tr.Read(func() any { return b })
+	tr.Count("c.hits", 1)
+	tr.Max("c.peak", 6)
+	b.Hits = 10 // read at serialization time
+
+	want := map[string]int64{"c.acks": 4, "c.applied": 1, "c.hits": 13, "c.peak": 8}
+	var got []string
+	for _, r := range tr.Records() {
+		if r.Kind != KindCounter || want[r.Key] != r.N {
+			t.Fatalf("unexpected record %+v", r)
+		}
+		got = append(got, r.Key)
+	}
+	if strings.Join(got, ",") != "c.acks,c.applied,c.hits,c.peak" {
+		t.Fatalf("counter keys %v", got)
+	}
+	for name, n := range want {
+		if tr.Counter(name) != n {
+			t.Fatalf("Counter(%s) = %d, want %d", name, tr.Counter(name), n)
+		}
+	}
+	for _, name := range []string{"c.idle", "c.note", "c.nested"} {
+		if tr.Counter(name) != 0 {
+			t.Fatalf("Counter(%s) = %d, want 0", name, tr.Counter(name))
+		}
+	}
+}
+
+// TestReadCallsSourcesUnlocked: a source may record into the tracer while
+// it is being read (a component holding its own lock across an event), and
+// registering or reading stays safe from many goroutines.
+func TestReadCallsSourcesUnlocked(t *testing.T) {
+	tr := New()
+	var mu sync.Mutex
+	var n int64
+	tr.Read(func() any {
+		mu.Lock()
+		defer mu.Unlock()
+		tr.Event("c/read", "reading") // would deadlock if Read held t.mu
+		return struct {
+			N int64 `trace:"c.n"`
+		}{n}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.Read(func() any { return nil }) // a source with nothing to fold
+			for i := 0; i < 50; i++ {
+				mu.Lock()
+				n++
+				tr.Count("c.direct", 1) // component lock held across a tracer call
+				mu.Unlock()
+				tr.Counter("c.n")
+			}
+		}()
+	}
+	wg.Wait()
+	if tr.Counter("c.n") != 200 || tr.Counter("c.direct") != 200 {
+		t.Fatalf("c.n = %d, c.direct = %d, want 200/200", tr.Counter("c.n"), tr.Counter("c.direct"))
 	}
 }

@@ -165,21 +165,22 @@ func (t *FaultTransport) fault(from uint64) (*Batch, error) {
 }
 
 // FollowerStats is a point-in-time view of a follower's replication state.
+// Fields tagged `trace` are the counters the follower's tracer serializes.
 type FollowerStats struct {
 	// Syncs counts completed fetch rounds, including empty caught-up ones.
-	Syncs int64 `json:"syncs"`
+	Syncs int64 `json:"syncs" trace:"replicate.syncs"`
 	// Applied counts records replayed into the served snapshot.
-	Applied int64 `json:"applied"`
+	Applied int64 `json:"applied" trace:"replicate.applied"`
 	// Bootstraps counts full-snapshot installs.
-	Bootstraps int64 `json:"bootstraps"`
+	Bootstraps int64 `json:"bootstraps" trace:"replicate.bootstraps"`
 	// Failures counts retryable transport errors (partitions, timeouts).
 	// Terminal divergences set Broken instead; this counter is the
 	// "transient fetch errors" signal routers and operators watch.
-	Failures int64 `json:"failures"`
+	Failures int64 `json:"failures" trace:"replicate.sync_failures"`
 	// Paused counts sync rounds skipped (or cut short) because the server
 	// had a rollout candidate staged: replication holds still while the node
 	// serves an uncommitted version and resumes when the stage resolves.
-	Paused int64 `json:"paused"`
+	Paused int64 `json:"paused" trace:"replicate.paused"`
 	// Epoch is the follower's published consistency token.
 	Epoch uint64 `json:"epoch"`
 	// LeaderAck is the leader's last acked epoch as of the last good sync.
@@ -217,7 +218,9 @@ func NewFollower(server *serve.Server, base *core.Snapshot, tr Transport, tracer
 	if server == nil || base == nil || tr == nil {
 		return nil, fmt.Errorf("replicate: follower needs server, base snapshot, and transport")
 	}
-	return &Follower{server: server, base: base, tr: tr, tracer: tracer}, nil
+	f := &Follower{server: server, base: base, tr: tr, tracer: tracer}
+	tracer.Read(func() any { return f.Stats() })
+	return f, nil
 }
 
 // Broken returns the terminal divergence error, or nil while the follower is
@@ -332,9 +335,6 @@ func (f *Follower) syncRound(ctx context.Context, wait time.Duration) (int, bool
 			return 0, false, f.failClosed(err)
 		}
 		f.stats.Failures++
-		if f.tracer.Enabled() {
-			f.tracer.Count("replicate.sync_failures", 1)
-		}
 		return 0, false, err
 	}
 	applied, err := f.applyLocked(cur, b)
@@ -351,12 +351,6 @@ func (f *Follower) syncRound(ctx context.Context, wait time.Duration) (int, bool
 	f.stats.Applied += int64(applied)
 	f.stats.LeaderAck = b.Ack
 	f.stats.Lag = b.Ack - f.server.Snapshot().Epoch()
-	if f.tracer.Enabled() {
-		f.tracer.Count("replicate.syncs", 1)
-		if applied > 0 {
-			f.tracer.Count("replicate.applied", int64(applied))
-		}
-	}
 	return applied, false, nil
 }
 
@@ -371,9 +365,6 @@ func (f *Follower) pausedLocked() bool {
 
 func (f *Follower) countPauseLocked() {
 	f.stats.Paused++
-	if f.tracer.Enabled() {
-		f.tracer.Count("replicate.paused", 1)
-	}
 }
 
 // isTerminal classifies a transport error: divergence sentinels are
@@ -410,9 +401,6 @@ func (f *Follower) applyLocked(cur uint64, b *Batch) (int, error) {
 			return 0, fmt.Errorf("replicate: publishing bootstrap: %w", err)
 		}
 		f.stats.Bootstraps++
-		if f.tracer.Enabled() {
-			f.tracer.Count("replicate.bootstraps", 1)
-		}
 		return int(snap.Epoch() - cur), nil
 	}
 	if len(b.Frames) == 0 {

@@ -97,12 +97,16 @@ type LeaderConfig struct {
 	// many goroutines a slow or malicious client can hold open and keeps the
 	// poll comfortably inside common proxy idle timeouts.
 	MaxWait time.Duration
-	// Tracer receives the replication counters (replicate.appends,
-	// replicate.batches, replicate.bootstraps).
+	// Tracer receives the replication counters: replicate.batches,
+	// replicate.bootstraps, replicate.frames_shipped and
+	// replicate.long_polls are read from the LeaderStats fields tagged
+	// `trace` when the trace is serialized; replicate.appends counts
+	// retained records, beside the install events.
 	Tracer *obs.Tracer
 }
 
 // LeaderStats is a point-in-time view of the leader's shipping counters.
+// Fields tagged `trace` are the counters LeaderConfig.Tracer serializes.
 type LeaderStats struct {
 	// Ack is the last durably acknowledged epoch.
 	Ack uint64 `json:"ack"`
@@ -112,16 +116,16 @@ type LeaderStats struct {
 	// TailLen is the number of retained records.
 	TailLen int `json:"tail_len"`
 	// Batches counts frame batches served (including empty caught-up ones).
-	Batches int64 `json:"batches"`
+	Batches int64 `json:"batches" trace:"replicate.batches"`
 	// Bootstraps counts full-snapshot responses served.
-	Bootstraps int64 `json:"bootstraps"`
+	Bootstraps int64 `json:"bootstraps" trace:"replicate.bootstraps"`
 	// FramesShipped counts records shipped inside frame batches.
-	FramesShipped int64 `json:"frames_shipped"`
+	FramesShipped int64 `json:"frames_shipped" trace:"replicate.frames_shipped"`
 	// Waiters is the number of long-poll fetches currently parked waiting
 	// for the next append (a gauge, not a counter).
 	Waiters int64 `json:"waiters"`
 	// LongPolls counts FetchWait calls that actually parked.
-	LongPolls int64 `json:"long_polls"`
+	LongPolls int64 `json:"long_polls" trace:"replicate.long_polls"`
 }
 
 // Leader owns absorbs for a replicated fleet. It implements
@@ -165,7 +169,7 @@ func NewLeader(start *core.Snapshot, inner serve.WriteAheadLog, cfg LeaderConfig
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 25 * time.Second
 	}
-	return &Leader{
+	l := &Leader{
 		inner:   inner,
 		tracer:  cfg.Tracer,
 		maxWait: cfg.MaxWait,
@@ -174,7 +178,9 @@ func NewLeader(start *core.Snapshot, inner serve.WriteAheadLog, cfg LeaderConfig
 		snap:    start,
 		maxTail: cfg.MaxTail,
 		notify:  make(chan struct{}),
-	}, nil
+	}
+	cfg.Tracer.Read(func() any { return l.LeaderStats() })
+	return l, nil
 }
 
 // Append implements serve.WriteAheadLog: durably log the absorb through the
@@ -230,9 +236,7 @@ func (l *Leader) retainLocked(rec wal.Record) {
 	}
 	l.ack = rec.Epoch
 	l.wakeLocked()
-	if l.tracer.Enabled() {
-		l.tracer.Count("replicate.appends", 1)
-	}
+	l.tracer.Count("replicate.appends", 1)
 }
 
 // wakeLocked broadcasts progress to every parked FetchWait. Caller holds l.mu.
@@ -303,9 +307,6 @@ func (l *Leader) Fetch(from uint64) (*Batch, error) {
 			return nil, fmt.Errorf("replicate: encoding bootstrap: %w", err)
 		}
 		l.stats.Bootstraps++
-		if l.tracer.Enabled() {
-			l.tracer.Count("replicate.bootstraps", 1)
-		}
 		return &Batch{From: from, Ack: l.snap.Epoch(), Snapshot: buf.Bytes()}, nil
 	}
 	var frames []byte
@@ -320,12 +321,6 @@ func (l *Leader) Fetch(from uint64) (*Batch, error) {
 	}
 	l.stats.Batches++
 	l.stats.FramesShipped += shipped
-	if l.tracer.Enabled() {
-		l.tracer.Count("replicate.batches", 1)
-		if shipped > 0 {
-			l.tracer.Count("replicate.frames_shipped", shipped)
-		}
-	}
 	return &Batch{From: from, Ack: l.ack, Frames: frames}, nil
 }
 
@@ -361,9 +356,6 @@ func (l *Leader) FetchWait(ctx context.Context, from uint64, wait time.Duration)
 		l.stats.Waiters++
 		if timer == nil {
 			l.stats.LongPolls++
-			if l.tracer.Enabled() {
-				l.tracer.Count("replicate.long_polls", 1)
-			}
 			timer = time.NewTimer(wait)
 		}
 		l.mu.Unlock()

@@ -43,7 +43,9 @@ type RouterConfig struct {
 	// ProbeTimeout bounds one health probe. Default 5s.
 	ProbeTimeout time.Duration
 	// Tracer receives the routing counters (route.requests,
-	// route.failovers, route.stale_skips, route.probes).
+	// route.failovers, route.stale_skips, route.exhausted, route.probes),
+	// read from the RouterStats fields tagged `trace` when the trace is
+	// serialized.
 	Tracer *obs.Tracer
 	// Logf, when set, receives probe transition lines: a backend changing
 	// health state, starting or resolving a staged rollout, plus its
@@ -73,13 +75,14 @@ type BackendStatus struct {
 	Staged string `json:"staged,omitempty"`
 }
 
-// RouterStats is a point-in-time view of the router's counters.
+// RouterStats is a point-in-time view of the router's counters. Fields
+// tagged `trace` are the counters RouterConfig.Tracer serializes.
 type RouterStats struct {
-	Requests   int64           `json:"requests"`
-	Failovers  int64           `json:"failovers"`
-	StaleSkips int64           `json:"stale_skips"`
-	Exhausted  int64           `json:"exhausted"`
-	Probes     int64           `json:"probes"`
+	Requests   int64           `json:"requests" trace:"route.requests"`
+	Failovers  int64           `json:"failovers" trace:"route.failovers"`
+	StaleSkips int64           `json:"stale_skips" trace:"route.stale_skips"`
+	Exhausted  int64           `json:"exhausted" trace:"route.exhausted"`
+	Probes     int64           `json:"probes" trace:"route.probes"`
 	Floor      uint64          `json:"floor"`
 	Backends   []BackendStatus `json:"backends"`
 }
@@ -105,7 +108,6 @@ type Router struct {
 	client   *http.Client
 	backends []*backendState
 	ring     []ringPoint
-	tracer   *obs.Tracer
 
 	rngMu sync.Mutex
 	jit   *rng.Source
@@ -144,7 +146,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 90 * time.Second}
 	}
-	r := &Router{cfg: cfg, client: client, tracer: cfg.Tracer, jit: rng.New(cfg.Seed)}
+	r := &Router{cfg: cfg, client: client, jit: rng.New(cfg.Seed)}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
 		url := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -162,6 +164,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("replicate: router needs at least one backend")
 	}
 	sort.Slice(r.ring, func(i, j int) bool { return r.ring[i].h < r.ring[j].h })
+	cfg.Tracer.Read(func() any { return r.Stats() })
 	return r, nil
 }
 
@@ -221,9 +224,6 @@ func (r *Router) noteProbe(b *backendState, healthy bool, staged, detail string)
 // rollout version and replication counters.
 func (r *Router) Probe(b *backendState) bool {
 	r.prc.Add(1)
-	if r.tracer.Enabled() {
-		r.tracer.Count("route.probes", 1)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
@@ -308,9 +308,6 @@ func (r *Router) pick(keyHash uint64, tried map[*backendState]bool) *backendStat
 		}
 		if p.b.epoch.Load() < floor {
 			r.staleSkips.Add(1)
-			if r.tracer.Enabled() {
-				r.tracer.Count("route.stale_skips", 1)
-			}
 			tried[p.b] = true // lagging: skip for this request
 			continue
 		}
@@ -407,9 +404,6 @@ func (r *Router) Handler() http.Handler {
 
 func (r *Router) predict(w http.ResponseWriter, req *http.Request) {
 	r.requests.Add(1)
-	if r.tracer.Enabled() {
-		r.tracer.Count("route.requests", 1)
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxRouteBody))
 	if err != nil {
 		writeJSONStatus(w, http.StatusBadRequest, errorBody{Error: "unreadable body: " + err.Error(), Code: "bad_request"})
@@ -437,9 +431,6 @@ func (r *Router) predict(w http.ResponseWriter, req *http.Request) {
 			b.healthy.Store(false)
 			tried[b] = true
 			r.failovers.Add(1)
-			if r.tracer.Enabled() {
-				r.tracer.Count("route.failovers", 1)
-			}
 			r.backoff(req.Context(), attempt)
 			continue
 		}
@@ -456,10 +447,6 @@ func (r *Router) predict(w http.ResponseWriter, req *http.Request) {
 					tried[b] = true
 					r.staleSkips.Add(1)
 					r.failovers.Add(1)
-					if r.tracer.Enabled() {
-						r.tracer.Count("route.stale_skips", 1)
-						r.tracer.Count("route.failovers", 1)
-					}
 					r.backoff(req.Context(), attempt)
 					continue
 				}
@@ -476,9 +463,6 @@ func (r *Router) predict(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.exhausted.Add(1)
-	if r.tracer.Enabled() {
-		r.tracer.Count("route.exhausted", 1)
-	}
 	w.Header().Set("Retry-After", "1")
 	writeJSONStatus(w, http.StatusBadGateway, errorBody{
 		Error: "no healthy backend at or above the fleet epoch floor", Code: "unavailable",

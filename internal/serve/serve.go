@@ -160,11 +160,13 @@ type Config struct {
 	// responses are oracle.NewMeter's bytes, a pure function of
 	// (snapshot, request).
 	MeterFor func(seed uint64) oracle.Service
-	// Tracer receives serving counters (requests, cache hits, swaps) and
-	// Max aggregates (snapshot epoch, peak tasks executing). Live concurrent
-	// traffic makes worker overlap and cache hits schedule-dependent, so a
-	// serving trace is only byte-reproducible for sequential replays; the
-	// response bodies are always reproducible.
+	// Tracer receives the serving counters, read from the server's Stats
+	// fields tagged `trace` (serve.requests, serve.cache_hits, serve.swaps,
+	// the serve.max_batch peak, ...) when the trace is serialized, plus the
+	// serve.epoch and serve.catalog_version peaks and the WAL and rollout
+	// events. Live concurrent traffic makes worker overlap and cache hits
+	// schedule-dependent, so a serving trace is only byte-reproducible for
+	// sequential replays; the response bodies are always reproducible.
 	Tracer *obs.Tracer
 	// WAL, when non-nil, makes absorbed state durable (DESIGN.md §11): every
 	// Absorb is appended and fsynced through this hook before its snapshot is
@@ -275,46 +277,47 @@ type Response struct {
 
 // Stats is a point-in-time view of the server's counters. Schedule-dependent
 // by nature (queue depth, hit counts); exposed for operators, not for the
-// determinism contract.
+// determinism contract. Fields tagged `trace` are the counters Config.Tracer
+// serializes (obs.Tracer.Read): each is counted once, here.
 type Stats struct {
-	Requests    int64 `json:"requests"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
+	Requests    int64 `json:"requests" trace:"serve.requests"`
+	CacheHits   int64 `json:"cache_hits" trace:"serve.cache_hits"`
+	CacheMisses int64 `json:"cache_misses" trace:"serve.cache_misses"`
 	// Coalesced counts the subset of CacheHits that attached to an
 	// in-flight computation of the same (epoch, fingerprint) instead of
 	// reading an already-cached body. Every request counts exactly one of
 	// CacheHits/CacheMisses (a coalesced waiter is a hit, never a second
 	// miss), so CacheHits+CacheMisses equals the cache-eligible requests.
-	Coalesced int64 `json:"coalesced"`
+	Coalesced int64 `json:"coalesced" trace:"serve.coalesced"`
 	// HitRate is CacheHits/Requests — the definition the results/serve.md
 	// bench table reports. Zero when no requests have been served.
 	HitRate      float64 `json:"hit_rate"`
 	CacheLen     int     `json:"cache_len"`
 	QueueDepth   int     `json:"queue_depth"`
-	QueueRejects int64   `json:"queue_rejects"`
+	QueueRejects int64   `json:"queue_rejects" trace:"serve.queue_rejects"`
 	// Shed counts best-effort requests refused by the priority shed gate
 	// (Config.ShedThreshold) — disjoint from QueueRejects, which counts hard
 	// queue-full rejections.
-	Shed int64 `json:"shed"`
+	Shed int64 `json:"shed" trace:"serve.shed"`
 	// Batches counts tasks the workers took from the queue (cache hits
 	// answered at admission never reach it). MaxBatch is the peak number of
 	// tasks executing at once, at most Config.Workers. The JSON names
 	// predate per-task dispatch.
-	Batches  int64 `json:"batches"`
-	MaxBatch int64 `json:"max_batch"`
+	Batches  int64 `json:"batches" trace:"serve.batches"`
+	MaxBatch int64 `json:"max_batch" trace:"serve.max_batch,max"`
 	// Superseded counts misses recomputed because a publish landed while
 	// they were computing. A recompute is not a second miss.
-	Superseded int64  `json:"superseded"`
-	Canceled   int64  `json:"canceled"`
-	Swaps      int64  `json:"swaps"`
+	Superseded int64  `json:"superseded" trace:"serve.superseded"`
+	Canceled   int64  `json:"canceled" trace:"serve.canceled"`
+	Swaps      int64  `json:"swaps" trace:"serve.swaps"`
 	Epoch      uint64 `json:"epoch"`
 	Workloads  int    `json:"workloads"`
 	// CatalogVersion is the published snapshot's catalog version;
 	// CatalogUpdates counts catalog updates absorbed this session.
 	CatalogVersion uint64 `json:"catalog_version"`
-	CatalogUpdates int64  `json:"catalog_updates"`
+	CatalogUpdates int64  `json:"catalog_updates" trace:"serve.catalog_updates"`
 	Durable        bool   `json:"durable"`
-	WALAppends     int64  `json:"wal_appends"`
+	WALAppends     int64  `json:"wal_appends" trace:"serve.wal_appends"`
 	// Profile-memoization counters of the default meter (all zero when a
 	// custom MeterFor is configured or memoization is disabled). ProfileHits
 	// are simulated cluster campaigns skipped by recall; run accounting in
@@ -457,9 +460,8 @@ func New(snap *core.Snapshot, cfg Config) (*Server, error) {
 	if s.base == nil {
 		s.base = snap
 	}
-	if cfg.Tracer.Enabled() {
-		cfg.Tracer.Max("serve.epoch", int64(snap.Epoch()))
-	}
+	cfg.Tracer.Max("serve.epoch", int64(snap.Epoch()))
+	cfg.Tracer.Read(func() any { return s.Stats() })
 	workers := parallel.Resolve(cfg.Workers)
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -479,10 +481,7 @@ func (s *Server) Publish(snap *core.Snapshot) error {
 	}
 	s.snap.Store(snap)
 	s.swaps.Add(1)
-	if s.cfg.Tracer.Enabled() {
-		s.cfg.Tracer.Count("serve.swaps", 1)
-		s.cfg.Tracer.Max("serve.epoch", int64(snap.Epoch()))
-	}
+	s.cfg.Tracer.Max("serve.epoch", int64(snap.Epoch()))
 	return nil
 }
 
@@ -523,9 +522,6 @@ func (s *Server) Absorb(name string, labelWeights, prunedVec []float64) error {
 			return fmt.Errorf("serve: absorb %q not published: %w", name, err)
 		}
 		s.walAppends.Add(1)
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Count("serve.wal_appends", 1)
-		}
 	}
 	if err := s.Publish(next); err != nil {
 		return err
@@ -564,18 +560,12 @@ func (s *Server) AbsorbCatalog(up cloud.Update) error {
 			return fmt.Errorf("serve: catalog update not published: %w", err)
 		}
 		s.walAppends.Add(1)
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Count("serve.wal_appends", 1)
-		}
 	}
 	if err := s.Publish(next); err != nil {
 		return err
 	}
 	s.catalogUpdates.Add(1)
-	if s.cfg.Tracer.Enabled() {
-		s.cfg.Tracer.Count("serve.catalog_updates", 1)
-		s.cfg.Tracer.Max("serve.catalog_version", int64(next.CatalogVersion()))
-	}
+	s.cfg.Tracer.Max("serve.catalog_version", int64(next.CatalogVersion()))
 	if s.cfg.WAL != nil {
 		if err := s.cfg.WAL.Committed(next); err != nil {
 			if s.cfg.Tracer.Enabled() {
@@ -925,9 +915,6 @@ func (s *Server) PredictBytes(ctx context.Context, req Request) ([]byte, error) 
 		return nil, err
 	}
 	s.requests.Add(1)
-	if s.cfg.Tracer.Enabled() {
-		s.cfg.Tracer.Count("serve.requests", 1)
-	}
 	s.closeMu.RLock()
 	draining := s.draining
 	s.closeMu.RUnlock()
@@ -942,7 +929,6 @@ func (s *Server) PredictBytes(ctx context.Context, req Request) ([]byte, error) 
 		s.cacheMu.Unlock()
 		if ok {
 			s.hits.Add(1)
-			s.cfg.Tracer.Count("serve.cache_hits", 1)
 			return body, nil
 		}
 	}
@@ -1034,9 +1020,6 @@ func (s *Server) enqueue(t *task) error {
 	if s.cfg.ShedThreshold > 0 && t.req.Priority > 0 &&
 		float64(len(s.queue)) >= s.cfg.ShedThreshold*float64(s.cfg.QueueSize) {
 		s.shed.Add(1)
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Count("serve.shed", 1)
-		}
 		return ErrShed
 	}
 	select {
@@ -1044,9 +1027,6 @@ func (s *Server) enqueue(t *task) error {
 		return nil
 	default:
 		s.rejects.Add(1)
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Count("serve.queue_rejects", 1)
-		}
 		return ErrQueueFull
 	}
 }
@@ -1063,10 +1043,6 @@ func (s *Server) work() {
 			if s.maxBatch.CompareAndSwap(peak, n) {
 				break
 			}
-		}
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Count("serve.batches", 1)
-			s.cfg.Tracer.Max("serve.max_batch", n)
 		}
 		t.done <- s.execute(t)
 		s.running.Add(-1)
@@ -1094,7 +1070,6 @@ func (s *Server) work() {
 func (s *Server) execute(t *task) taskResult {
 	if err := t.ctx.Err(); err != nil {
 		s.canceled.Add(1)
-		s.cfg.Tracer.Count("serve.canceled", 1)
 		return taskResult{err: err}
 	}
 	s.retarget(t, s.snap.Load())
@@ -1106,7 +1081,6 @@ func (s *Server) execute(t *task) taskResult {
 		// Cached between admission and execution (an earlier flight landed).
 		s.cacheMu.Unlock()
 		s.hits.Add(1)
-		s.cfg.Tracer.Count("serve.cache_hits", 1)
 		return taskResult{body: body}
 	}
 	if f, ok := s.flights[t.key]; ok {
@@ -1116,10 +1090,6 @@ func (s *Server) execute(t *task) taskResult {
 		s.cacheMu.Unlock()
 		s.hits.Add(1)
 		s.coalesced.Add(1)
-		if s.cfg.Tracer.Enabled() {
-			s.cfg.Tracer.Count("serve.cache_hits", 1)
-			s.cfg.Tracer.Count("serve.coalesced", 1)
-		}
 		select {
 		case <-f.done:
 			return taskResult{body: f.body, err: f.err}
@@ -1132,7 +1102,6 @@ func (s *Server) execute(t *task) taskResult {
 	s.flights[flightKey] = f
 	s.cacheMu.Unlock()
 	s.misses.Add(1)
-	s.cfg.Tracer.Count("serve.cache_misses", 1)
 
 	res := s.computeLatest(t)
 	s.cacheMu.Lock()
@@ -1168,7 +1137,6 @@ func (s *Server) computeLatest(t *task) taskResult {
 	res := s.compute(t)
 	if cur := s.snap.Load(); cur != t.snap {
 		s.superseded.Add(1)
-		s.cfg.Tracer.Count("serve.superseded", 1)
 		s.retarget(t, cur)
 		res = s.compute(t)
 	}

@@ -57,25 +57,29 @@ type Config struct {
 	// default 256 KiB, negative disables automatic compaction (explicit
 	// Checkpoint calls still work).
 	CompactBytes int64
-	// Tracer receives the durability counters (wal.appends, wal.replayed,
-	// wal.torn_tail, wal.checkpoints, wal.quarantined).
+	// Tracer receives the durability counters: wal.appends, wal.replayed,
+	// wal.checkpoints and wal.quarantined are read from the Stats fields
+	// tagged `trace` when the trace is serialized; wal.torn_tail counts
+	// truncations (Stats counts their bytes), beside the recovery and
+	// checkpoint events.
 	Tracer *obs.Tracer
 }
 
 // Stats is a point-in-time view of the manager's durability counters.
+// Fields tagged `trace` are the counters Config.Tracer serializes.
 type Stats struct {
 	// Epoch is the last durably acknowledged epoch.
 	Epoch uint64 `json:"epoch"`
 	// Appends counts acknowledged appends this session.
-	Appends int64 `json:"appends"`
+	Appends int64 `json:"appends" trace:"wal.appends"`
 	// Replayed counts log records applied during recovery.
-	Replayed int64 `json:"replayed"`
+	Replayed int64 `json:"replayed" trace:"wal.replayed"`
 	// TornTailBytes counts bytes truncated from the log tail at recovery.
 	TornTailBytes int64 `json:"torn_tail_bytes"`
 	// Checkpoints counts checkpoints written this session.
-	Checkpoints int64 `json:"checkpoints"`
+	Checkpoints int64 `json:"checkpoints" trace:"wal.checkpoints"`
 	// Quarantined counts corrupt checkpoints set aside at recovery.
-	Quarantined int64 `json:"quarantined"`
+	Quarantined int64 `json:"quarantined" trace:"wal.quarantined"`
 	// LogBytes is the current log length.
 	LogBytes int64 `json:"log_bytes"`
 	// Broken reports an unrecoverable append failure (see ErrLogBroken).
@@ -142,6 +146,7 @@ func Open(base *core.Snapshot, cfg Config) (*Manager, *core.Snapshot, error) {
 	}
 	m.logFile = f
 	m.epoch = snap.Epoch()
+	cfg.Tracer.Read(func() any { return m.Stats() })
 	return m, snap, nil
 }
 
@@ -175,7 +180,6 @@ func (m *Manager) loadCheckpoint(base *core.Snapshot) (*core.Snapshot, error) {
 	}
 	m.stats.Quarantined++
 	if m.cfg.Tracer.Enabled() {
-		m.cfg.Tracer.Count("wal.quarantined", 1)
 		m.cfg.Tracer.Event("wal/recovery", "checkpoint quarantined: "+verr.Error())
 	}
 	return base, nil
@@ -242,9 +246,6 @@ func (m *Manager) replayLog(snap *core.Snapshot) (*core.Snapshot, error) {
 		}
 		snap = next
 		m.stats.Replayed++
-	}
-	if m.cfg.Tracer.Enabled() && m.stats.Replayed > 0 {
-		m.cfg.Tracer.Count("wal.replayed", m.stats.Replayed)
 	}
 	m.logBytes = valid
 	m.stats.LogBytes = valid
@@ -330,9 +331,6 @@ func (m *Manager) appendRecord(rec Record) error {
 	m.stats.LogBytes = m.logBytes
 	m.epoch = rec.Epoch
 	m.stats.Appends++
-	if m.cfg.Tracer.Enabled() {
-		m.cfg.Tracer.Count("wal.appends", 1)
-	}
 	return nil
 }
 
@@ -469,7 +467,6 @@ func (m *Manager) writeCheckpointLocked(snap *core.Snapshot) error {
 	m.stats.LogBytes = 0
 	m.stats.Checkpoints++
 	if m.cfg.Tracer.Enabled() {
-		m.cfg.Tracer.Count("wal.checkpoints", 1)
 		m.cfg.Tracer.Event("wal/checkpoint", fmt.Sprintf("epoch %d, %d bytes", snap.Epoch(), len(payload)))
 	}
 	return nil
