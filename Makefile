@@ -103,13 +103,16 @@ fuzz:
 # loadgen is the load-generator determinism smoke (DESIGN.md §15): a quick
 # single run and tuner sweep exercise the CLI modes, then the full
 # capacity-planning report is rendered twice at the same seed — once serial,
-# once fanned out on 8 evaluation workers — and the bytes must match.
+# once fanned out on 8 evaluation workers — and the bytes must match. The
+# renders live in a private temporary directory removed on exit, so
+# concurrent checkouts never share them.
 loadgen:
 	$(GO) run ./cmd/vesta loadgen -rps 200 -duration 5 -pattern burst -tenants 100
 	$(GO) run ./cmd/vesta loadgen -tune -rps 1000 -duration 10 -tenants 100 -target-p99 50 -plan 1000,100000
-	$(GO) run ./cmd/vesta loadgen -report -workers 1 -o /tmp/vesta-loadgen-w1.md
-	$(GO) run ./cmd/vesta loadgen -report -workers 8 -o /tmp/vesta-loadgen-w8.md
-	cmp /tmp/vesta-loadgen-w1.md /tmp/vesta-loadgen-w8.md
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -x; \
+	$(GO) run ./cmd/vesta loadgen -report -workers 1 -o "$$dir/w1.md"; \
+	$(GO) run ./cmd/vesta loadgen -report -workers 8 -o "$$dir/w8.md"; \
+	cmp "$$dir/w1.md" "$$dir/w8.md"
 	@echo "loadgen report is byte-identical at -workers 1 and 8"
 
 # loadgen-report regenerates the committed capacity-planning report at the

@@ -15,6 +15,7 @@ import (
 
 	"vesta/internal/cloud"
 	"vesta/internal/core"
+	"vesta/internal/metrics"
 	"vesta/internal/oracle"
 	"vesta/internal/sim"
 	"vesta/internal/workload"
@@ -70,7 +71,7 @@ func main() {
 
 		// Absorb the learned target: its red edges join the graph and the
 		// K-Means model retrains cheaply (Algorithm 1 line 13).
-		sandbox := simulator.ProfileRun(target, mustFind(catalog, predictor.Config().SandboxVM), 50)
+		sandbox := simulator.Measure(target, mustFind(catalog, predictor.Config().SandboxVM), 50, sim.Want{Features: metrics.AllFeatures})
 		vec := project(sandbox.Corr.Slice(), predictor.Knowledge().Kept)
 		if err := predictor.AbsorbTarget(name, pred.LabelWeights, vec); err != nil {
 			log.Fatal(err)

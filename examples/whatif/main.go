@@ -66,7 +66,7 @@ func heatmap(s *sim.Simulator, catalog []cloud.VMType, app workload.App) {
 	value := map[string]float64{}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, vm := range catalog {
-		p := s.ProfileRun(app, vm, 3)
+		p := s.Measure(app, vm, 3, sim.Want{})
 		value[vm.Name] = p.CostUSD
 		if p.CostUSD < lo {
 			lo = p.CostUSD

@@ -13,6 +13,7 @@ import (
 	"vesta/internal/cloud"
 	"vesta/internal/oracle"
 	"vesta/internal/rng"
+	"vesta/internal/sim"
 	"vesta/internal/workload"
 )
 
@@ -66,7 +67,7 @@ func (a *ArrowLite) Select(target workload.App, meter *oracle.Meter) (*Selection
 	augment := map[int]augmentation{}
 
 	try := func(i int) {
-		prof := meter.Profile(target, a.catalog[i])
+		prof := meter.Measure(target, a.catalog[i], sim.Want{Trace: true})
 		observed[i] = prof.P90Seconds
 		fp := fingerprint(prof)
 		// Indices follow metrics.SeriesID: 0 cpu.user, 4 mem.ram,

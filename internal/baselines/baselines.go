@@ -139,7 +139,7 @@ func (p *Paris) Train(sources []workload.App, meter *oracle.Meter) error {
 			return err
 		}
 		for _, vm := range p.catalog {
-			prof := meter.Profile(app, vm)
+			prof := meter.Measure(app, vm, sim.Want{})
 			row := append(append([]float64(nil), fp...), vmFeatures(vm)...)
 			xs = append(xs, row)
 			ys = append(ys, math.Log(prof.P90Seconds))
@@ -163,7 +163,7 @@ func (p *Paris) fingerprint(app workload.App, meter *oracle.Meter) ([]float64, e
 		if !ok {
 			return nil, fmt.Errorf("paris: reference VM %q not in catalog", name)
 		}
-		prof := meter.Profile(app, vm)
+		prof := meter.Measure(app, vm, sim.Want{Trace: true})
 		fp = append(fp, fingerprint(prof)...)
 	}
 	return fp, nil
@@ -183,7 +183,7 @@ func (p *Paris) Select(target workload.App, meter *oracle.Meter) (*Selection, er
 		if !ok {
 			return nil, fmt.Errorf("paris: reference VM %q not in catalog", name)
 		}
-		prof := meter.Profile(target, vm)
+		prof := meter.Measure(target, vm, sim.Want{Trace: true})
 		observed[vm.Name] = prof.P90Seconds
 		fp = append(fp, fingerprint(prof)...)
 	}
@@ -246,7 +246,7 @@ func (p *ParisScratch) Select(target workload.App, meter *oracle.Meter) (*Select
 	observed := make(map[string]float64, n)
 	for _, i := range sample {
 		vm := p.catalog[i]
-		prof := meter.Profile(target, vm)
+		prof := meter.Measure(target, vm, sim.Want{})
 		xs = append(xs, vmFeatures(vm))
 		ys = append(ys, math.Log(prof.P90Seconds))
 		observed[vm.Name] = prof.P90Seconds
@@ -330,7 +330,7 @@ func (e *Ernest) Select(target workload.App, meter *oracle.Meter) (*Selection, e
 		if !ok {
 			return nil, fmt.Errorf("ernest: training VM %q not in catalog", name)
 		}
-		prof := meter.Profile(target, vm)
+		prof := meter.Measure(target, vm, sim.Want{})
 		rows = append(rows, ernestFeatures(target.InputGB, effectiveCores(vm, nodes)))
 		times = append(times, prof.P90Seconds)
 		observed[vm.Name] = prof.P90Seconds
@@ -389,7 +389,7 @@ func (r *RandomSearch) Select(target workload.App, meter *oracle.Meter) (*Select
 	observed := map[string]float64{}
 	for _, i := range src.Sample(len(r.catalog), n) {
 		vm := r.catalog[i]
-		prof := meter.Profile(target, vm)
+		prof := meter.Measure(target, vm, sim.Want{})
 		observed[vm.Name] = prof.P90Seconds
 	}
 	// Unobserved VMs get +Inf so the ranking only trusts observations.
@@ -459,7 +459,7 @@ func (c *CherryPickLite) Select(target workload.App, meter *oracle.Meter) (*Sele
 	var xs [][]float64
 	var ys []float64 // log seconds
 	try := func(i int) {
-		prof := meter.Profile(target, c.catalog[i])
+		prof := meter.Measure(target, c.catalog[i], sim.Want{})
 		observed[i] = prof.P90Seconds
 		xs = append(xs, feats[i])
 		ys = append(ys, math.Log(prof.P90Seconds))
@@ -654,7 +654,7 @@ func SequentialSearchFor(sel Selector, target workload.App, catalog []cloud.VMTy
 			continue
 		}
 		tried[vmName] = true
-		prof := meter.Profile(target, byName[vmName])
+		prof := meter.Measure(target, byName[vmName], sim.Want{})
 		record(vmName, prof.P90Seconds)
 	}
 	return steps, nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vesta/internal/sim"
 	"vesta/internal/workload"
 )
 
@@ -79,7 +80,7 @@ func TestEnvMeterIndependent(t *testing.T) {
 	m1 := env.Meter(1)
 	m2 := env.Meter(1)
 	a := workload.BySet(workload.SourceTesting)[0]
-	m1.Profile(a, env.Catalog[0])
+	m1.Measure(a, env.Catalog[0], sim.Want{})
 	if m2.Runs() != 0 {
 		t.Fatal("meters share state")
 	}

@@ -13,6 +13,7 @@ import (
 	"vesta/internal/parallel"
 	"vesta/internal/pca"
 	"vesta/internal/rng"
+	"vesta/internal/sim"
 	"vesta/internal/stats"
 	"vesta/internal/workload"
 )
@@ -236,7 +237,7 @@ func Fig9PCAImportance(env *Env) *Table {
 	for _, fw := range []workload.Framework{workload.Hadoop, workload.Hive, workload.Spark} {
 		var vecs [][]float64
 		for _, app := range workload.ByFramework(fw) {
-			p := env.Sim.ProfileRun(app, sandbox, env.Seed+0x90)
+			p := env.Sim.Measure(app, sandbox, env.Seed+0x90, sim.Want{Features: metrics.AllFeatures})
 			vecs = append(vecs, p.Corr.Slice())
 		}
 		res, err := pca.Fit(vecs)
@@ -279,7 +280,7 @@ func Fig10CorrelationScatter(env *Env) *Table {
 	}
 	buckets := map[string]*point{}
 	for _, app := range workload.All() {
-		p := env.Sim.ProfileRun(app, sandbox, env.Seed+0xA0)
+		p := env.Sim.Measure(app, sandbox, env.Seed+0xA0, sim.Want{Features: metrics.AllFeatures})
 		for c := 0; c < metrics.NumCorrelations; c++ {
 			iv := metrics.Interval(p.Corr[c])
 			key := fmt.Sprintf("%d|%.2f", c, iv)

@@ -277,7 +277,7 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	s := sim.New(sim.Config{Nodes: *nodes, Repeats: *repeats})
-	p := s.ProfileRun(app, vm, *seed)
+	p := s.Measure(app, vm, *seed, sim.Want{Features: metrics.AllFeatures, Trace: true})
 
 	fmt.Fprintf(outW, "%s on %d x %s\n", app, *nodes, vm)
 	fmt.Fprintf(outW, "  P90 execution time : %.1f s\n", p.P90Seconds)
@@ -455,7 +455,7 @@ func cmdHeatmap(args []string) error {
 	value := map[string]float64{}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, vm := range catalog {
-		p := s.ProfileTimed(app, vm, *seed)
+		p := s.Measure(app, vm, *seed, sim.Want{})
 		v := p.CostUSD
 		if *byTime {
 			v = p.P90Seconds
@@ -559,7 +559,7 @@ func cmdCollect(args []string) error {
 	}
 	s := sim.New(sim.Config{Nodes: *nodes, Repeats: *repeats})
 	for i, vm := range vms {
-		p := s.ProfileRun(app, vm, *seed)
+		p := s.Measure(app, vm, *seed, sim.Want{Features: metrics.AllFeatures, Trace: *withTrace})
 		if err := st.Put(p, *withTrace); err != nil {
 			return err
 		}
@@ -636,7 +636,7 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	p := sim.New(sim.Config{Nodes: *nodes, Repeats: 3}).ProfileRun(app, vm, *seed)
+	p := sim.New(sim.Config{Nodes: *nodes, Repeats: 3}).Measure(app, vm, *seed, sim.Want{Features: metrics.AllFeatures, Trace: true})
 	fmt.Fprintf(outW, "%s on %d x %s (P90 %.1f s)\n", app.Name, *nodes, vm.Name, p.P90Seconds)
 	fmt.Fprint(outW, traceview.Render(p.Trace, *width))
 	fmt.Fprintln(outW, "correlation similarities:")
@@ -841,7 +841,7 @@ func cmdCompare(args []string) error {
 
 	type row struct {
 		vm   cloud.VMType
-		prof sim.Timing
+		prof sim.Profile
 	}
 	var rows []row
 	for _, name := range strings.Split(*vmsFlag, ",") {
@@ -849,7 +849,7 @@ func cmdCompare(args []string) error {
 		if err != nil {
 			return err
 		}
-		rows = append(rows, row{vm: vm, prof: s.ProfileTimed(app, vm, *seed)})
+		rows = append(rows, row{vm: vm, prof: s.Measure(app, vm, *seed, sim.Want{})})
 	}
 	// Fastest first.
 	sort.Slice(rows, func(i, j int) bool { return rows[i].prof.P90Seconds < rows[j].prof.P90Seconds })

@@ -66,7 +66,7 @@ func (s *System) RecommendClusterSize(target workload.App, vmName string, sizes 
 
 	// Read the iteration-to-parallelism correlation from a sandbox run at
 	// the default cluster size.
-	sp := meter.Profile(target, s.byName[s.cfg.SandboxVM])
+	sp := meter.Measure(target, s.byName[s.cfg.SandboxVM], sim.Want{Features: metrics.AllFeatures})
 	thin := sp.Corr[metrics.IterationToParallelism] > 0
 
 	// Thin-leaning workloads are scanned small-to-large (their optimum sits
@@ -85,9 +85,9 @@ func (s *System) RecommendClusterSize(target workload.App, vmName string, sizes 
 		cfg := meter.Sim.Config()
 		cfg.Nodes = n
 		sized := sim.New(cfg)
-		// Account the run on the shared meter by charging a profile against
-		// a derived meter that shares the counter.
-		p := meter.ProfileWith(sized, target, vm)
+		// Account the run on the shared meter: every cluster shape costs a
+		// reference run.
+		p := meter.MeasureOn(sized, target, vm, sim.Want{})
 		results[n] = p
 		if p.P90Seconds < bestSec {
 			bestSec = p.P90Seconds

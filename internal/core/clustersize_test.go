@@ -118,11 +118,11 @@ func TestProfileWithCharges(t *testing.T) {
 	m := oracle.NewMeter(s, 3)
 	other := sim.New(sim.Config{Repeats: 2, Nodes: 8})
 	a, _ := workload.ByName("Spark-lr")
-	p := m.ProfileWith(other, a, catalog[30])
+	p := m.MeasureOn(other, a, catalog[30], sim.Want{})
 	if p.Nodes != 8 {
-		t.Fatalf("ProfileWith ignored the alternative config: nodes = %d", p.Nodes)
+		t.Fatalf("MeasureOn ignored the alternative config: nodes = %d", p.Nodes)
 	}
 	if m.Runs() != 1 {
-		t.Fatalf("ProfileWith did not charge the meter: %d", m.Runs())
+		t.Fatalf("MeasureOn did not charge the meter: %d", m.Runs())
 	}
 }

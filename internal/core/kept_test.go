@@ -39,10 +39,10 @@ func TestPredictReadsOnlyKeptFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := snap.KeptFeatures()
-	if kept != metrics.FeaturesOf(sys.knowledge.Kept) {
-		t.Fatalf("KeptFeatures %010b, knowledge keeps %v", kept, sys.knowledge.Kept)
+	if w := snap.SandboxWant(); w != (sim.Want{Features: metrics.FeaturesOf(sys.knowledge.Kept)}) {
+		t.Fatalf("SandboxWant %+v, knowledge keeps %v", w, sys.knowledge.Kept)
 	}
+	kept := snap.SandboxWant().Features
 	if kept == 0 || kept == metrics.AllFeatures {
 		t.Fatalf("knowledge keeps %010b: nothing to prune or nothing kept", kept)
 	}
@@ -70,7 +70,8 @@ func TestPredictReadsOnlyKeptFeatures(t *testing.T) {
 }
 
 // TestKeptFeaturesRawMode: a snapshot that ranks on raw metric levels keeps
-// raw-metric indices, not correlation features, and reports every feature.
+// raw-metric indices, not correlation features, and asks its sandbox for
+// every feature and the trace.
 func TestKeptFeaturesRawMode(t *testing.T) {
 	sys, err := New(Config{Seed: 1, K: 3, UseRawFeatures: true}, smallCatalog(t))
 	if err != nil {
@@ -83,7 +84,7 @@ func TestKeptFeaturesRawMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.KeptFeatures(); got != metrics.AllFeatures {
-		t.Fatalf("raw-features snapshot reports kept features %010b, want all", got)
+	if got := snap.SandboxWant(); got != (sim.Want{Features: metrics.AllFeatures, Trace: true}) {
+		t.Fatalf("raw-features snapshot wants %+v of its sandbox, want the full measurement", got)
 	}
 }

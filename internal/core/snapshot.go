@@ -12,6 +12,7 @@ import (
 	"vesta/internal/cloud"
 	"vesta/internal/metrics"
 	"vesta/internal/oracle"
+	"vesta/internal/sim"
 	"vesta/internal/workload"
 )
 
@@ -86,16 +87,17 @@ func (sn *Snapshot) HasWorkload(name string) bool {
 // Config returns the effective configuration frozen into the snapshot.
 func (sn *Snapshot) Config() Config { return sn.sys.cfg }
 
-// KeptFeatures returns the correlation features the snapshot's knowledge
-// kept after PCA pruning: the only components of a sandbox profile's
-// correlation vector a prediction against it reads. A snapshot that ranks
-// on raw metric levels reads the profile's trace, not its vector; it
-// reports every feature.
-func (sn *Snapshot) KeptFeatures() metrics.FeatureSet {
+// SandboxWant is what a prediction against the snapshot reads of its
+// sandbox measurement: the correlation features the knowledge kept after
+// PCA pruning, the only components of the vector it projects onto. A
+// snapshot that ranks on raw metric levels reads the measurement's trace,
+// not its vector; it asks for every feature and the trace, the full
+// measurement.
+func (sn *Snapshot) SandboxWant() sim.Want {
 	if sn.sys.cfg.UseRawFeatures {
-		return metrics.AllFeatures
+		return sim.Want{Features: metrics.AllFeatures, Trace: true}
 	}
-	return metrics.FeaturesOf(sn.sys.knowledge.Kept)
+	return sim.Want{Features: metrics.FeaturesOf(sn.sys.knowledge.Kept)}
 }
 
 // Catalog returns a copy of the VM catalog frozen into the snapshot.

@@ -122,7 +122,7 @@ func ExhaustiveBest(s *sim.Simulator, target workload.App, catalog []cloud.VMTyp
 	}
 	bestVM, bestLat := "", math.Inf(1)
 	for _, vm := range catalog {
-		p := s.ProfileTimed(target, vm, seed)
+		p := s.Measure(target, vm, seed, sim.Want{})
 		if p.P90LatencyMS < bestLat || (p.P90LatencyMS == bestLat && vm.Name < bestVM) {
 			bestVM, bestLat = vm.Name, p.P90LatencyMS
 		}

@@ -39,7 +39,7 @@ func streamingApp(t *testing.T) workload.App {
 func TestSimEmitsStreamingMetrics(t *testing.T) {
 	s := sim.New(sim.Config{Repeats: 3})
 	vm, _ := cloud.Find(catalog, "m5.xlarge")
-	p := s.ProfileRun(streamingApp(t), vm, 1)
+	p := s.Measure(streamingApp(t), vm, 1, sim.Want{})
 	if p.P90LatencyMS <= 0 {
 		t.Fatalf("streaming latency = %v", p.P90LatencyMS)
 	}
@@ -47,7 +47,7 @@ func TestSimEmitsStreamingMetrics(t *testing.T) {
 		t.Fatalf("streaming throughput = %v", p.ThroughputMBps)
 	}
 	batch, _ := workload.ByName("Spark-sort")
-	pb := s.ProfileRun(batch, vm, 1)
+	pb := s.Measure(batch, vm, 1, sim.Want{})
 	if pb.P90LatencyMS != 0 || pb.ThroughputMBps != 0 {
 		t.Fatal("batch workload reported streaming metrics")
 	}
@@ -59,8 +59,8 @@ func TestLatencyImprovesWithResources(t *testing.T) {
 	small, _ := cloud.Find(catalog, "m5.large")
 	big, _ := cloud.Find(catalog, "m5n.4xlarge")
 	app := streamingApp(t)
-	lSmall := s.ProfileRun(app, small, 1).P90LatencyMS
-	lBig := s.ProfileRun(app, big, 1).P90LatencyMS
+	lSmall := s.Measure(app, small, 1, sim.Want{}).P90LatencyMS
+	lBig := s.Measure(app, big, 1, sim.Want{}).P90LatencyMS
 	if lBig >= lSmall {
 		t.Fatalf("latency on m5n.4xlarge (%v) not below m5.large (%v)", lBig, lSmall)
 	}
@@ -117,14 +117,14 @@ func TestSelectQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pickedLat := meter.Sim.ProfileRun(app, mustVM(t, res.Best), 999).P90LatencyMS
+	pickedLat := meter.Sim.Measure(app, mustVM(t, res.Best), 999, sim.Want{}).P90LatencyMS
 	if pickedLat > 2.5*bestLat {
 		t.Fatalf("picked %s at %.1f ms vs optimum %.1f ms", res.Best, pickedLat, bestLat)
 	}
 	// And better than the median of the catalog.
 	var all []float64
 	for _, vm := range catalog {
-		all = append(all, meter.Sim.ProfileRun(app, vm, 999).P90LatencyMS)
+		all = append(all, meter.Sim.Measure(app, vm, 999, sim.Want{}).P90LatencyMS)
 	}
 	median := medianOf(all)
 	if pickedLat >= median {

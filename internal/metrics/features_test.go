@@ -38,10 +38,11 @@ func TestSeriesOf(t *testing.T) {
 }
 
 // simTraces returns sim traces covering every shape a correlation sees: a
-// single sample, the maxTraceSamples+1 cap, killed (partial) runs, and
-// collector dropout both survivable and past the minimum of complete
-// samples. Each comes with its run's execution stats.
-func simTraces(t testing.TB) map[string]sim.RunResult {
+// single sample, the maxTraceSamples+1 cap, a killed run's partial trace,
+// and collector dropout both survivable and past the minimum of complete
+// samples. Each is the trace of a one-repeat measurement, whose only run
+// uses the measurement's seed, and comes with its run's execution stats.
+func simTraces(t testing.TB) map[string]sim.Profile {
 	t.Helper()
 	cat := cloud.ByName(cloud.Catalog120())
 	vm := cat["m5.xlarge"]
@@ -49,47 +50,57 @@ func simTraces(t testing.TB) map[string]sim.RunResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]sim.RunResult{
-		"clean":    sim.New(sim.DefaultConfig()).Run(lr, vm, 3),
-		"1-sample": sim.New(sim.Config{SampleSec: 1e9}).Run(lr, vm, 3),
+	traced := sim.Want{Trace: true}
+	out := map[string]sim.Profile{
+		"clean":    sim.New(sim.Config{Repeats: 1}).Measure(lr, vm, 3, traced),
+		"1-sample": sim.New(sim.Config{Repeats: 1, SampleSec: 1e9}).Measure(lr, vm, 3, traced),
 	}
 	for _, a := range workload.All() {
-		if r := sim.New(sim.Config{SampleSec: 0.01}).Run(a, vm, 5); r.Trace.Len() == 513 {
-			out["513-samples"] = r
+		if p := sim.New(sim.Config{Repeats: 1, SampleSec: 0.01}).Measure(a, vm, 5, traced); p.Trace.Len() == 513 {
+			out["513-samples"] = p
 			break
 		}
 	}
-	checked := func(rates chaos.Rates, want func(sim.RunResult, error) bool) (sim.RunResult, bool) {
+	// A killed run's trace is the prefix its samples reached; a measurement
+	// keeps only completed runs' traces, so the shape is cut from a clean
+	// one.
+	partial := out["clean"]
+	cut := *partial.Trace
+	cut.Partial = true
+	for id, ser := range cut.Series {
+		cut.Series[id] = ser[:len(ser)/2]
+	}
+	partial.Trace = &cut
+	out["partial"] = partial
+	checked := func(rates chaos.Rates, want func(sim.Profile, error) bool) (sim.Profile, bool) {
 		for seed := uint64(1); seed < 200; seed++ {
-			s := sim.New(sim.Config{Chaos: chaos.NewPlan(seed, rates)})
-			if r, err := s.RunChecked(lr, vm, seed); want(r, err) {
-				return r, true
+			s := sim.New(sim.Config{Repeats: 1, Chaos: chaos.NewPlan(seed, rates)})
+			if p, err := s.MeasureAttempt(lr, vm, seed, 0, traced); want(p, err) {
+				return p, true
 			}
 		}
-		return sim.RunResult{}, false
+		return sim.Profile{}, false
 	}
-	if r, ok := checked(chaos.Rates{SpotPreemption: 1}, func(r sim.RunResult, err error) bool {
-		return err != nil && r.Trace != nil && r.Trace.Partial && r.Trace.Len() >= 5
+	if p, ok := checked(chaos.Rates{SamplerDropout: 0.3}, func(p sim.Profile, err error) bool {
+		return err == nil && p.Trace.Dropped > 0 && p.Trace.Len()-p.Trace.Dropped >= 3
 	}); ok {
-		out["partial"] = r
+		out["dropout"] = p
 	}
-	if r, ok := checked(chaos.Rates{SamplerDropout: 0.3}, func(r sim.RunResult, err error) bool {
-		return err == nil && r.Trace.Dropped > 0 && r.Trace.Len()-r.Trace.Dropped >= 3
+	if p, ok := checked(chaos.Rates{SamplerDropout: 0.97}, func(p sim.Profile, err error) bool {
+		return err == nil && p.Trace.Len()-p.Trace.Dropped < 3
 	}); ok {
-		out["dropout"] = r
+		out["dropout-corrupt"] = p
 	}
-	if r, ok := checked(chaos.Rates{SamplerDropout: 0.97}, func(r sim.RunResult, err error) bool {
-		return err == nil && r.Trace.Len()-r.Trace.Dropped < 3
-	}); ok {
-		out["dropout-corrupt"] = r
-	}
-	for _, name := range []string{"1-sample", "513-samples", "partial", "dropout", "dropout-corrupt"} {
+	for _, name := range []string{"1-sample", "513-samples", "dropout", "dropout-corrupt"} {
 		if _, ok := out[name]; !ok {
 			t.Fatalf("no sim trace of shape %s", name)
 		}
 	}
 	if n := out["1-sample"].Trace.Len(); n != 1 {
 		t.Fatalf("1-sample trace has %d samples", n)
+	}
+	if n := out["partial"].Trace.Len(); n < 5 {
+		t.Fatalf("partial trace has %d samples", n)
 	}
 	return out
 }

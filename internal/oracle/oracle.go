@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"vesta/internal/cloud"
+	"vesta/internal/metrics"
 	"vesta/internal/obs"
 	"vesta/internal/parallel"
 	"vesta/internal/sim"
@@ -55,7 +56,7 @@ func BuildWorkers(s *sim.Simulator, apps []workload.App, vms []cloud.VMType, see
 	results := parallel.Map(workers, len(apps)*len(vms), func(idx int) cell {
 		a := apps[idx/len(vms)]
 		v := vms[idx%len(vms)]
-		p := s.ProfileTimed(a, v, seed)
+		p := s.Measure(a, v, seed, sim.Want{})
 		return cell{Key{App: a.Name, VM: v.Name}, p.P90Seconds, p.CostUSD}
 	})
 	for _, c := range results {
@@ -201,83 +202,75 @@ func (m *Meter) Tracer() *obs.Tracer {
 	return m.tracer
 }
 
-// startProfileSpan charges the meter.runs trace counter and opens the
-// per-profile span. attempt < 0 marks the ground-truth (non-chaos) path,
-// whose key omits the attempt. Close the returned span with
-// EndSim(spentSec(runs, wasted)) so the serialized duration is simulated
-// cluster time — a pure function of (app, vm, meter seed[, attempt]) — while
-// the wall timing stays on the verbose stream.
-func (m *Meter) startProfileSpan(app, vm string, attempt int) obs.Span {
-	t := m.Tracer()
-	if !t.Enabled() {
-		return obs.Span{}
-	}
-	t.Count("meter.runs", 1)
-	key := "profile/app=" + app + "/vm=" + vm
-	if attempt >= 0 {
-		key = fmt.Sprintf("%s/attempt=%d", key, attempt)
-	}
-	return t.Start(key)
-}
-
-// charge counts one reference-VM unit for app on vm.
-func (m *Meter) charge(app, vm string) {
-	m.mu.Lock()
-	m.runs++
-	m.log = append(m.log, Key{App: app, VM: vm})
-	m.mu.Unlock()
-}
-
-// Profile measures app on vm (the full repeated-run P90 protocol) and
-// charges one reference-VM unit.
-func (m *Meter) Profile(app workload.App, vm cloud.VMType) sim.Profile {
-	m.charge(app.Name, vm.Name)
-	sp := m.startProfileSpan(app.Name, vm.Name, -1)
-	p := m.Sim.ProfileRun(app, vm, m.Seed)
-	sp.EndSim(spentSec(p.Runs, p.WastedSec))
+// Measure measures app on vm (the full repeated-run P90 protocol, carrying
+// what want asks for) and charges one reference-VM unit.
+func (m *Meter) Measure(app workload.App, vm cloud.VMType, want sim.Want) sim.Profile {
+	p, _ := m.measure(m.Sim, app, vm, -1, want)
 	return p
 }
 
-// TryProfile implements Service. On a ground-truth meter the measurement
-// cannot fail; the error is always nil.
-func (m *Meter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error) {
-	return m.Profile(app, vm), nil
+// MeasureAttempt measures app on vm through the simulator's checked
+// (fault-injectable) path, charging one reference-VM unit whether or not
+// the measurement survives — a failed campaign still burned the cluster
+// time.
+func (m *Meter) MeasureAttempt(app workload.App, vm cloud.VMType, attempt uint64, want sim.Want) (sim.Profile, error) {
+	return m.measure(m.Sim, app, vm, int(attempt), want)
 }
 
-// TryTime implements Service: the same run, log entry and span as
-// TryProfile, measured without metric traces. The error is always nil.
+// MeasureOn is Measure on s, another configuration of the meter's
+// simulator (a different cluster size, say), while charging this meter:
+// every cluster deployment costs a reference run regardless of its shape.
+func (m *Meter) MeasureOn(s *sim.Simulator, app workload.App, vm cloud.VMType, want sim.Want) sim.Profile {
+	p, _ := m.measure(s, app, vm, -1, want)
+	return p
+}
+
+// TryProfile implements Service with the full measurement. On a
+// ground-truth meter the measurement cannot fail; the error is always nil.
+func (m *Meter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error) {
+	return m.Measure(app, vm, sim.Want{Features: metrics.AllFeatures, Trace: true}), nil
+}
+
+// TryTime implements Service with a times-only measurement: the same
+// charge, log entry and span as TryProfile. The error is always nil.
 func (m *Meter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
-	m.charge(app.Name, vm.Name)
-	sp := m.startProfileSpan(app.Name, vm.Name, -1)
-	t := m.Sim.ProfileTimed(app, vm, m.Seed)
-	sp.EndSim(spentSec(t.Runs, 0))
-	return t, nil
+	return m.Measure(app, vm, sim.Want{}).Timing(), nil
 }
 
 // SimConfig implements Service.
 func (m *Meter) SimConfig() sim.Config { return m.Sim.Config() }
 
-// TryProfileAttempt measures app on vm through the simulator's checked
-// (fault-injectable) path, charging one reference-VM unit whether or not the
-// measurement survives — a failed campaign still burned the cluster time.
-func (m *Meter) TryProfileAttempt(app workload.App, vm cloud.VMType, attempt uint64) (sim.Profile, error) {
-	m.charge(app.Name, vm.Name)
-	sp := m.startProfileSpan(app.Name, vm.Name, int(attempt))
-	p, err := m.Sim.ProfileAttempt(app, vm, m.Seed, attempt)
+// measure is every measuring method's body: it charges one reference-VM
+// unit for app on vm, counts meter.runs on the tracer and measures on s
+// inside a per-profile span. attempt < 0 takes s's ground-truth path,
+// whose span key omits the attempt; attempt >= 0 takes the checked path.
+// The span closes with EndSim(spent) so the serialized duration is
+// simulated cluster time — a pure function of (app, vm, meter
+// seed[, attempt]) — while the wall timing stays on the verbose stream.
+func (m *Meter) measure(s *sim.Simulator, app workload.App, vm cloud.VMType, attempt int, want sim.Want) (sim.Profile, error) {
+	m.mu.Lock()
+	m.runs++
+	m.log = append(m.log, Key{App: app.Name, VM: vm.Name})
+	t := m.tracer
+	m.mu.Unlock()
+	var sp obs.Span
+	if t.Enabled() {
+		t.Count("meter.runs", 1)
+		key := "profile/app=" + app.Name + "/vm=" + vm.Name
+		if attempt >= 0 {
+			key = fmt.Sprintf("%s/attempt=%d", key, attempt)
+		}
+		sp = t.Start(key)
+	}
+	var p sim.Profile
+	var err error
+	if attempt < 0 {
+		p = s.Measure(app, vm, m.Seed, want)
+	} else {
+		p, err = s.MeasureAttempt(app, vm, m.Seed, uint64(attempt), want)
+	}
 	sp.EndSim(spentSec(p.Runs, p.WastedSec))
 	return p, err
-}
-
-// ProfileWith measures app on vm using an alternative simulator
-// configuration (e.g. a different cluster size) while charging this meter's
-// counter — every cluster deployment costs a reference run regardless of
-// its shape.
-func (m *Meter) ProfileWith(s *sim.Simulator, app workload.App, vm cloud.VMType) sim.Profile {
-	m.charge(app.Name, vm.Name)
-	sp := m.startProfileSpan(app.Name, vm.Name, -1)
-	p := s.ProfileRun(app, vm, m.Seed)
-	sp.EndSim(spentSec(p.Runs, p.WastedSec))
-	return p
 }
 
 // Runs returns the number of reference-VM profilings charged so far.

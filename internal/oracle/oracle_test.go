@@ -122,11 +122,11 @@ func TestMeterCounting(t *testing.T) {
 	if m.Runs() != 0 {
 		t.Fatal("fresh meter not at zero")
 	}
-	p := m.Profile(a, vm)
+	p := m.Measure(a, vm, sim.Want{})
 	if p.P90Seconds <= 0 {
 		t.Fatal("meter profile returned bad result")
 	}
-	m.Profile(a, vm)
+	m.Measure(a, vm, sim.Want{})
 	if m.Runs() != 2 {
 		t.Fatalf("Runs = %d, want 2", m.Runs())
 	}
@@ -145,8 +145,8 @@ func TestMeterMatchesDirectSim(t *testing.T) {
 	m := NewMeter(s, 7)
 	a, _ := workload.ByName("Spark-lr")
 	vm := cloud.Catalog120()[30]
-	got := m.Profile(a, vm).P90Seconds
-	want := s.ProfileRun(a, vm, 7).P90Seconds
+	got := m.Measure(a, vm, sim.Want{}).P90Seconds
+	want := s.Measure(a, vm, 7, sim.Want{}).P90Seconds
 	if got != want {
 		t.Fatalf("meter time %v != direct sim %v", got, want)
 	}

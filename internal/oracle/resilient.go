@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"vesta/internal/cloud"
+	"vesta/internal/metrics"
 	"vesta/internal/obs"
 	"vesta/internal/sim"
 	"vesta/internal/workload"
@@ -178,7 +179,7 @@ func (r *Resilient) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, 
 	var lastErr error
 	var lastProfile sim.Profile
 	for attempt := 0; ; attempt++ {
-		p, err := r.meter.TryProfileAttempt(app, vm, uint64(attempt))
+		p, err := r.meter.MeasureAttempt(app, vm, uint64(attempt), sim.Want{Features: metrics.AllFeatures, Trace: true})
 		r.mu.Lock()
 		r.attempts++
 		if attempt > 0 {

@@ -78,7 +78,7 @@ func TestResilientFaultFreeMatchesMeter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault-free TryProfile failed: %v", err)
 	}
-	want := sim.New(sim.Config{}).ProfileRun(app, vm, 7)
+	want := sim.New(sim.Config{}).Measure(app, vm, 7, sim.Want{Features: metrics.AllFeatures, Trace: true})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("fault-free resilient profile differs from ground truth")
 	}
@@ -102,7 +102,7 @@ func TestResilientRetryRecoversGroundTruth(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if !reflect.DeepEqual(p, clean.ProfileRun(app, vm, 7)) {
+		if !reflect.DeepEqual(p, clean.Measure(app, vm, 7, sim.Want{Features: metrics.AllFeatures, Trace: true})) {
 			// Launch failures kill whole runs; survivors must be pristine.
 			// (Profiles with partial failures differ by design.)
 			if p.FailedRuns == 0 {

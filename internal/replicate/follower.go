@@ -462,42 +462,22 @@ func (f *Follower) applyLocked(cur uint64, b *Batch) (int, error) {
 	return applied, nil
 }
 
-// Run polls the transport every interval until ctx is done or the follower
-// breaks. Retryable transport errors keep the loop alive; a terminal
-// divergence returns it.
-func (f *Follower) Run(ctx context.Context, interval time.Duration) error {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		if _, err := f.SyncOnce(); err != nil && f.Broken() != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-		}
-	}
-}
-
-// RunWait is the push-style replication loop: each round long-polls the
-// leader with the given wait budget, so a caught-up follower applies a new
-// append roughly one round trip after the leader acks it instead of waiting
-// out a polling interval. Rounds that cannot make progress — transport
-// errors, a staged rollout candidate, a transport without long-poll support —
-// back off by retry (default 500ms) so the loop never spins; productive
-// rounds chain immediately, the long poll itself being the pacing.
+// RunWait is the follower's replication loop; it runs until ctx is done
+// (returning nil) or the follower breaks (returning the terminal error).
+// Each round long-polls the leader with the given wait budget, so a
+// caught-up follower applies a new append roughly one round trip after the
+// leader acks it instead of waiting out a polling interval. Rounds that
+// cannot make progress — transport errors, a staged rollout candidate — back
+// off by retry (default 500ms) so the loop never spins; productive rounds
+// chain immediately, the long poll itself being the pacing. With wait <= 0,
+// or over a transport without long-poll support, every round is a plain
+// fetch paced by retry: polling.
 func (f *Follower) RunWait(ctx context.Context, wait, retry time.Duration) error {
-	if wait <= 0 {
-		return f.Run(ctx, retry)
-	}
 	if retry <= 0 {
 		retry = 500 * time.Millisecond
 	}
 	_, hasWait := f.tr.(WaitTransport)
+	poll := wait <= 0 || !hasWait
 	for {
 		_, paused, err := f.syncRound(ctx, wait)
 		if err != nil && f.Broken() != nil {
@@ -506,7 +486,7 @@ func (f *Follower) RunWait(ctx context.Context, wait, retry time.Duration) error
 		if ctx.Err() != nil {
 			return nil
 		}
-		if paused || err != nil || !hasWait {
+		if paused || err != nil || poll {
 			select {
 			case <-ctx.Done():
 				return nil

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"vesta/internal/wal"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -194,6 +196,72 @@ func TestFollowerRunWaitStreams(t *testing.T) {
 	st := f.Stats()
 	if st.Broken || st.Lag != 0 || st.Applied != 3 {
 		t.Fatalf("follower stats after stream = %+v", st)
+	}
+}
+
+// TestFollowerRunWaitPolls: with no wait budget, or over a transport that
+// cannot long-poll, RunWait polls, one plain fetch every retry. It streams
+// appends to the leader's epoch, returns nil on cancel, and returns the
+// terminal error when the stream diverges.
+func TestFollowerRunWaitPolls(t *testing.T) {
+	snaps, recs := fixture(t)
+	for _, wait := range []time.Duration{0, 10 * time.Second} {
+		l, err := NewLeader(snaps[0], nil, LeaderConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replica := newReplica(t, snaps[0], 1)
+		// transportFunc hides the leader's FetchWait.
+		f, err := NewFollower(replica, snaps[0], transportFunc(l.Fetch), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		runDone := make(chan error, 1)
+		go func() { runDone <- f.RunWait(ctx, wait, 10*time.Millisecond) }()
+		for _, rec := range recs {
+			if err := l.Append(rec.Name, rec.LabelWeights, rec.PrunedVec, rec.Epoch); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Committed(snaps[rec.Epoch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, 10*time.Second, func() bool { return replica.Snapshot().Epoch() == 3 }, "polling follower to reach epoch 3")
+		cancel()
+		select {
+		case err := <-runDone:
+			if err != nil {
+				t.Fatalf("wait %v: RunWait after cancel = %v", wait, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("wait %v: RunWait did not stop on cancel", wait)
+		}
+		if st := f.Stats(); st.Broken || st.Lag != 0 || st.Applied != 3 {
+			t.Fatalf("wait %v: follower stats after polling = %+v", wait, st)
+		}
+	}
+
+	frame, err := wal.EncodeFrame(recs[1]) // epoch 2 with no epoch 1 before it
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap := transportFunc(func(from uint64) (*Batch, error) {
+		return &Batch{From: from, Ack: 2, Frames: frame}, nil
+	})
+	f, err := NewFollower(newReplica(t, snaps[0], 1), snaps[0], gap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDone := make(chan error, 1)
+	go func() { runDone <- f.RunWait(context.Background(), 0, 10*time.Millisecond) }()
+	select {
+	case err := <-runDone:
+		if !errors.Is(err, ErrDiverged) {
+			t.Fatalf("RunWait over a diverging stream = %v, want ErrDiverged", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunWait kept polling a diverged stream")
 	}
 }
 

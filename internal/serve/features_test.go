@@ -96,15 +96,15 @@ func TestRawFeaturesServeMatchesPredictFast(t *testing.T) {
 				defer s.profiles.mu.Unlock()
 				profiles := 0
 				for _, el := range s.profiles.entries {
-					switch e := el.Value.(*profileEntry); e.key.kind {
-					case kindFeatures:
-						t.Fatalf("raw-features server memoized a trace-less profile of %s", e.key.app)
-					case kindProfile:
-						if e.p.Trace == nil {
-							t.Fatalf("memoized profile of %s has no trace", e.key.app)
-						}
-						profiles++
+					e := el.Value.(*profileEntry)
+					if e.key.want == (sim.Want{}) {
+						continue
 					}
+					if e.key.want != full || e.p.Trace == nil {
+						t.Fatalf("raw-features server memoized a %+v profile of %s (trace %v)",
+							e.key.want, e.key.app, e.p.Trace != nil)
+					}
+					profiles++
 				}
 				if profiles != 3 {
 					t.Fatalf("%d memoized sandbox profiles, want one per campaign (3)", profiles)
@@ -126,14 +126,14 @@ func TestMemoMeterFeaturesKeySpace(t *testing.T) {
 	vm := cloud.ByName(cloud.Catalog120())["c5.xlarge"]
 	cache := newProfileLRU(16)
 	simulator := sim.New(sim.Config{Repeats: 3})
-	lean := &memoMeter{sim: simulator, seed: 5, cache: cache, features: metrics.AllFeatures}
-	full := &memoMeter{sim: simulator, seed: 5, cache: cache}
+	lean := &memoMeter{sim: simulator, seed: 5, cache: cache, sandbox: sim.Want{Features: metrics.AllFeatures}}
+	whole := &memoMeter{sim: simulator, seed: 5, cache: cache, sandbox: full}
 
 	fp, _ := lean.TryProfile(app, vm)
 	if fp.Trace != nil {
 		t.Fatal("features-only profile carries a trace")
 	}
-	p, _ := full.TryProfile(app, vm)
+	p, _ := whole.TryProfile(app, vm)
 	if p.Trace == nil || p.Trace.Len() == 0 {
 		t.Fatal("full profile after a memoized features-only one came back without a trace")
 	}
@@ -146,7 +146,7 @@ func TestMemoMeterFeaturesKeySpace(t *testing.T) {
 		t.Fatalf("after one lookup of each kind: hits %d misses %d, want 0 and 2", hits, misses)
 	}
 
-	p2, _ := full.TryProfile(app, vm)
+	p2, _ := whole.TryProfile(app, vm)
 	fp2, _ := lean.TryProfile(app, vm)
 	if !reflect.DeepEqual(p2, p) || !reflect.DeepEqual(fp2, fp) {
 		t.Fatal("recalled profile differs from the computed one")
@@ -154,8 +154,8 @@ func TestMemoMeterFeaturesKeySpace(t *testing.T) {
 	if hits, misses := cache.counters(); hits != 2 || misses != 2 || cache.len() != 2 {
 		t.Fatalf("after recall: hits %d misses %d len %d, want 2, 2, 2", hits, misses, cache.len())
 	}
-	if lean.Runs() != 2 || full.Runs() != 2 {
-		t.Fatalf("2 lookups per meter charged %d and %d runs", lean.Runs(), full.Runs())
+	if lean.Runs() != 2 || whole.Runs() != 2 {
+		t.Fatalf("2 lookups per meter charged %d and %d runs", lean.Runs(), whole.Runs())
 	}
 }
 

@@ -15,6 +15,9 @@ import (
 	"vesta/internal/workload"
 )
 
+// full asks for the full measurement: every feature and the trace.
+var full = sim.Want{Features: metrics.AllFeatures, Trace: true}
+
 // TestMemoMeterKeysVMPhysics: the memo keys a VM by everything the simulator
 // reads of it, so a type re-specified under its old name (retired and
 // re-added by one catalog update) is measured afresh, field by field, while
@@ -28,11 +31,11 @@ func TestMemoMeterKeysVMPhysics(t *testing.T) {
 	vm := cloud.ByName(cloud.Catalog120())["t3a.2xlarge"]
 	simulator := sim.New(sim.Config{Repeats: 3})
 	cache := newProfileLRU(64)
-	m := &memoMeter{sim: simulator, seed: 5, cache: cache}
+	m := &memoMeter{sim: simulator, seed: 5, cache: cache, sandbox: full}
 	m.TryProfile(app, vm)
 	m.TryTime(app, vm)
 	kept := metrics.FeaturesOf([]int{2, 5, 7, 8})
-	lean := &memoMeter{sim: simulator, seed: 5, cache: cache, features: kept}
+	lean := &memoMeter{sim: simulator, seed: 5, cache: cache, sandbox: sim.Want{Features: kept}}
 	lean.TryProfile(app, vm)
 
 	variants := map[string]func(*cloud.VMType){
@@ -53,11 +56,11 @@ func TestMemoMeterKeysVMPhysics(t *testing.T) {
 			t.Errorf("%s: a re-specified %s was recalled from the memo (%d misses, want %d)",
 				field, vm.Name, misses-missesBefore, 2)
 		}
-		if want := simulator.ProfileRun(app, re, 5); !reflect.DeepEqual(p, want) {
+		if want := simulator.Measure(app, re, 5, full); !reflect.DeepEqual(p, want) {
 			t.Errorf("%s: profile of the re-specified type has P90 %v, a fresh measurement %v",
 				field, p.P90Seconds, want.P90Seconds)
 		}
-		if want := simulator.ProfileTimed(app, re, 5); !reflect.DeepEqual(tm, want) {
+		if want := simulator.Measure(app, re, 5, sim.Want{}).Timing(); !reflect.DeepEqual(tm, want) {
 			t.Errorf("%s: timing of the re-specified type has P90 %v, a fresh measurement %v",
 				field, tm.P90Seconds, want.P90Seconds)
 		}
@@ -72,15 +75,15 @@ func TestMemoMeterKeysVMPhysics(t *testing.T) {
 	if hits, _ := cache.counters(); hits != hitsBefore+3 {
 		t.Fatalf("a reprice missed the memo: %d hits, want 3", hits-hitsBefore)
 	}
-	if want := simulator.ProfileRun(app, repriced, 5); !reflect.DeepEqual(p, want) {
+	if want := simulator.Measure(app, repriced, 5, full); !reflect.DeepEqual(p, want) {
 		t.Errorf("recalled profile after a reprice costs %v at %v/h, a fresh measurement %v at %v/h",
 			p.CostUSD, p.VM.PriceHour, want.CostUSD, want.VM.PriceHour)
 	}
-	if want := simulator.ProfileFeatures(app, repriced, 5, kept); !sameProfile(lp, want) {
+	if want := simulator.Measure(app, repriced, 5, sim.Want{Features: kept}); !sameProfile(lp, want) {
 		t.Errorf("recalled features profile after a reprice costs %v at %v/h, a fresh measurement %v at %v/h",
 			lp.CostUSD, lp.VM.PriceHour, want.CostUSD, want.VM.PriceHour)
 	}
-	if want := simulator.ProfileTimed(app, repriced, 5); !reflect.DeepEqual(tm, want) {
+	if want := simulator.Measure(app, repriced, 5, sim.Want{}).Timing(); !reflect.DeepEqual(tm, want) {
 		t.Errorf("recalled timing after a reprice costs %v, a fresh measurement %v", tm.CostUSD, want.CostUSD)
 	}
 }
@@ -97,10 +100,10 @@ func sameProfile(a, b sim.Profile) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestMemoMeterFeatureSetKeySpace: profiles measured for different feature
-// sets live in different key spaces: none answers a lookup for another set,
-// each recalls only its own entry, and each holds NaN exactly outside its
-// set.
+// TestMemoMeterFeatureSetKeySpace: profiles measured for different wants
+// live in different key spaces: none answers a lookup for another want,
+// each recalls only its own entry, each holds NaN exactly outside its
+// features and each carries a trace exactly when its want asks for one.
 func TestMemoMeterFeatureSetKeySpace(t *testing.T) {
 	app, err := workload.ByName("Hadoop-kmeans")
 	if err != nil {
@@ -109,34 +112,39 @@ func TestMemoMeterFeatureSetKeySpace(t *testing.T) {
 	vm := cloud.ByName(cloud.Catalog120())["m5.xlarge"]
 	simulator := sim.New(sim.Config{Repeats: 3})
 	cache := newProfileLRU(16)
-	sets := []metrics.FeatureSet{
-		metrics.AllFeatures,
-		metrics.FeaturesOf([]int{2, 5, 7, 8}),
-		metrics.FeaturesOf([]int{5, 6, 7}),
-		1 << metrics.DiskToNetwork,
+	sets := []sim.Want{
+		{Features: metrics.AllFeatures},
+		full,
+		{Features: metrics.FeaturesOf([]int{2, 5, 7, 8})},
+		{Features: metrics.FeaturesOf([]int{5, 6, 7})},
+		{Features: 1 << metrics.DiskToNetwork},
+		{Trace: true},
 	}
 	first := make([]sim.Profile, len(sets))
-	for i, feats := range sets {
-		m := &memoMeter{sim: simulator, seed: 9, cache: cache, features: feats}
+	for i, w := range sets {
+		m := &memoMeter{sim: simulator, seed: 9, cache: cache, sandbox: w}
 		first[i], _ = m.TryProfile(app, vm)
 		if hits, misses := cache.counters(); hits != 0 || misses != int64(i+1) {
-			t.Fatalf("set %010b: hits %d misses %d, want 0 and %d: another set's entry answered",
-				feats, hits, misses, i+1)
+			t.Fatalf("want %+v: hits %d misses %d, want 0 and %d: another want's entry answered",
+				w, hits, misses, i+1)
 		}
 		for j, v := range first[i].Corr {
-			if feats.Has(j) == math.IsNaN(v) {
-				t.Fatalf("set %010b: %s = %v", feats, metrics.CorrelationNames[j], v)
+			if w.Features.Has(j) == math.IsNaN(v) {
+				t.Fatalf("want %+v: %s = %v", w, metrics.CorrelationNames[j], v)
 			}
 		}
-		if want := simulator.ProfileFeatures(app, vm, 9, feats); !sameProfile(first[i], want) {
-			t.Fatalf("set %010b: memo meter profile differs from ProfileFeatures", feats)
+		if (first[i].Trace != nil) != w.Trace {
+			t.Fatalf("want %+v: trace %v", w, first[i].Trace != nil)
+		}
+		if want := simulator.Measure(app, vm, 9, w); !sameProfile(first[i], want) {
+			t.Fatalf("want %+v: memo meter profile differs from Measure", w)
 		}
 	}
 	for i := len(sets) - 1; i >= 0; i-- {
-		m := &memoMeter{sim: simulator, seed: 9, cache: cache, features: sets[i]}
+		m := &memoMeter{sim: simulator, seed: 9, cache: cache, sandbox: sets[i]}
 		p, _ := m.TryProfile(app, vm)
 		if !sameProfile(p, first[i]) {
-			t.Fatalf("set %010b recalled another set's profile", sets[i])
+			t.Fatalf("want %+v recalled another want's profile", sets[i])
 		}
 	}
 	if hits, misses := cache.counters(); hits != int64(len(sets)) || misses != int64(len(sets)) || cache.len() != len(sets) {

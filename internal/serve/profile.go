@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"vesta/internal/cloud"
-	"vesta/internal/metrics"
 	"vesta/internal/oracle"
 	"vesta/internal/sim"
 	"vesta/internal/workload"
@@ -16,32 +15,21 @@ import (
 // Config.ProfileCacheSize is left zero.
 const defaultProfileCacheSize = 4096
 
-// profileKind separates the memo's key spaces, one per measurement shape:
-// an entry answers only lookups of its own kind, so a timing (no trace, no
-// correlation vector) never answers a profile lookup and a features-only
-// profile (no trace) never answers a lookup that needs the trace.
-type profileKind uint8
-
-const (
-	kindProfile  profileKind = iota // sim.ProfileRun: full profile with the trace
-	kindFeatures                    // sim.ProfileFeatures: no trace, the key's features only
-	kindTiming                      // sim.ProfileTimed
-)
-
 // profileKey identifies one memoizable measurement. The default meter's
-// profile is a pure function of (app, vm, request seed) under a fixed
-// simulator configuration; the app itself is fully determined by its name
-// plus the input-size override, rendered as exact float bits so distinct
-// inputs can never collide. A features profile also depends on the feature
-// set it measured, so an entry never answers for another set (a rollout
-// that installs knowledge with a different kept set, say).
+// measurement is a pure function of (app, vm, request seed, want) under a
+// fixed simulator configuration; the app itself is fully determined by its
+// name plus the input-size override, rendered as exact float bits so
+// distinct inputs can never collide. The want keeps the memo's key spaces
+// apart: a times-only entry (no trace, no correlation vector) never answers
+// a profile lookup, and a profile never answers a lookup of another feature
+// set (a rollout that installs knowledge with a different kept set, say) or
+// one that needs a trace it does not carry.
 type profileKey struct {
-	app   string
-	gb    uint64 // math.Float64bits(app.InputGB)
-	vm    vmPhysics
-	seed  uint64
-	kind  profileKind
-	feats metrics.FeatureSet // kindFeatures only; 0 for the other kinds
+	app  string
+	gb   uint64 // math.Float64bits(app.InputGB)
+	vm   vmPhysics
+	seed uint64
+	want sim.Want
 }
 
 // vmPhysics is what the simulator reads of a VM type to measure it: its
@@ -67,7 +55,7 @@ func physicsOf(vm cloud.VMType) vmPhysics {
 }
 
 // profileLRU is a fixed-capacity, internally synchronized LRU over simulator
-// measurements: profiles and timing-only summaries, in their own key spaces
+// measurements: profiles and times-only summaries, in their own key spaces
 // but one recency order and one pair of hit/miss counters. It is shared by
 // every request's meter, so a profiling campaign (sandbox + random picks)
 // computed once serves every later request that would redo the identical
@@ -81,8 +69,9 @@ type profileLRU struct {
 	hits, misses int64
 }
 
-// profileEntry holds p for the profile kinds and t for kindTiming. The
-// profile sits behind a pointer so a timing entry carries no empty Profile.
+// profileEntry holds p for a profile and t for a times-only measurement
+// (sim.Want{}). The profile sits behind a pointer so a timing entry carries
+// no empty Profile.
 type profileEntry struct {
 	key profileKey
 	p   *sim.Profile
@@ -142,75 +131,69 @@ func (c *profileLRU) counters() (hits, misses int64) {
 // oracle.Meter — every TryProfile charges one reference-VM unit whether the
 // profile is computed or recalled — so OnlineRuns in responses and the
 // Figure-8 overhead metric are byte-for-byte unchanged. Only the simulated
-// cluster work is skipped: the profile itself is a pure function of
-// (app, vm, seed) for a fixed simulator, which is exactly the memo key.
+// cluster work is skipped: the measurement itself is a pure function of
+// (app, vm, seed, want) for a fixed simulator, which is exactly the memo key.
 type memoMeter struct {
 	sim   *sim.Simulator
 	seed  uint64
 	cache *profileLRU // nil: memoization disabled, always simulate
-	// features, when non-zero, is the set of correlation features the
-	// prediction reads (besides the timings): TryProfile measures only those
-	// with ProfileFeatures (no trace). Zero measures with ProfileRun.
-	features metrics.FeatureSet
+	// sandbox is what TryProfile asks for: the snapshot's SandboxWant, the
+	// only part of the sandbox measurement its prediction reads besides the
+	// times. It is never sim.Want{}, whose entries hold timings alone:
+	// knowledge keeps at least one feature.
+	sandbox sim.Want
 
 	mu   sync.Mutex
 	runs int
 }
 
-// charge counts one reference-VM unit and returns the memo key of app on vm
-// in the key space of kind (and, for kindFeatures, of feats).
-func (m *memoMeter) charge(app workload.App, vm cloud.VMType, kind profileKind, feats metrics.FeatureSet) profileKey {
-	m.mu.Lock()
-	m.runs++
-	m.mu.Unlock()
-	return profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: physicsOf(vm), seed: m.seed,
-		kind: kind, feats: feats}
-}
-
-// TryProfile implements oracle.Service. The ground-truth simulator cannot
-// fail; the error is always nil.
+// TryProfile implements oracle.Service with the sandbox's want. The
+// ground-truth simulator cannot fail; the error is always nil.
 func (m *memoMeter) TryProfile(app workload.App, vm cloud.VMType) (sim.Profile, error) {
-	kind := kindProfile
-	if m.features != 0 {
-		kind = kindFeatures
-	}
-	key := m.charge(app, vm, kind, m.features)
-	if m.cache == nil {
-		return m.measure(app, vm), nil
-	}
-	if e := m.cache.get(key); e != nil {
-		p := *e.p
-		p.VM, p.CostUSD = vm, m.priced(p.P90Seconds, vm)
-		return p, nil
-	}
-	p := m.measure(app, vm)
-	m.cache.put(&profileEntry{key: key, p: &p})
+	p, _ := m.measure(app, vm, m.sandbox)
+	p.VM, p.CostUSD = vm, m.priced(p.P90Seconds, vm)
 	return p, nil
 }
 
-// measure simulates the profile TryProfile returns.
-func (m *memoMeter) measure(app workload.App, vm cloud.VMType) sim.Profile {
-	if m.features != 0 {
-		return m.sim.ProfileFeatures(app, vm, m.seed, m.features)
-	}
-	return m.sim.ProfileRun(app, vm, m.seed)
+// TryTime implements oracle.Service with a times-only measurement, charged
+// like TryProfile. The error is always nil.
+func (m *memoMeter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
+	_, t := m.measure(app, vm, sim.Want{})
+	t.CostUSD = m.priced(t.P90Seconds, vm)
+	return t, nil
 }
 
-// TryTime implements oracle.Service with the same accounting as TryProfile,
-// memoized in the timing key space. The error is always nil.
-func (m *memoMeter) TryTime(app workload.App, vm cloud.VMType) (sim.Timing, error) {
-	key := m.charge(app, vm, kindTiming, 0)
-	if m.cache == nil {
-		return m.sim.ProfileTimed(app, vm, m.seed), nil
+// measure charges one reference-VM unit and returns the measurement of app
+// on vm under want, recalled from the memo or measured and stored there: a
+// profile, or for sim.Want{} a timing alone. A recall keeps the price of
+// its first measurement; the callers re-price it. Only what the memo keeps
+// goes to the heap.
+func (m *memoMeter) measure(app workload.App, vm cloud.VMType, want sim.Want) (sim.Profile, sim.Timing) {
+	m.mu.Lock()
+	m.runs++
+	m.mu.Unlock()
+	key := profileKey{app: app.Name, gb: math.Float64bits(app.InputGB), vm: physicsOf(vm), seed: m.seed, want: want}
+	if m.cache != nil {
+		if e := m.cache.get(key); e != nil {
+			if e.p == nil {
+				return sim.Profile{}, e.t
+			}
+			return *e.p, sim.Timing{}
+		}
 	}
-	if e := m.cache.get(key); e != nil {
-		t := e.t
-		t.CostUSD = m.priced(t.P90Seconds, vm)
-		return t, nil
+	p := m.sim.Measure(app, vm, m.seed, want)
+	if want == (sim.Want{}) {
+		t := p.Timing()
+		if m.cache != nil {
+			m.cache.put(&profileEntry{key: key, t: t})
+		}
+		return sim.Profile{}, t
 	}
-	t := m.sim.ProfileTimed(app, vm, m.seed)
-	m.cache.put(&profileEntry{key: key, t: t})
-	return t, nil
+	if m.cache != nil {
+		stored := p
+		m.cache.put(&profileEntry{key: key, p: &stored})
+	}
+	return p, sim.Timing{}
 }
 
 // priced is the cost at vm's current price of a measurement with P90 time

@@ -21,7 +21,7 @@ func TestMemoMeterTimingKeySpace(t *testing.T) {
 	}
 	vm := cloud.ByName(cloud.Catalog120())["c5.xlarge"]
 	cache := newProfileLRU(16)
-	m := &memoMeter{sim: sim.New(sim.Config{Repeats: 3}), seed: 5, cache: cache}
+	m := &memoMeter{sim: sim.New(sim.Config{Repeats: 3}), seed: 5, cache: cache, sandbox: full}
 
 	tm, _ := m.TryTime(app, vm)
 	p, _ := m.TryProfile(app, vm)

@@ -1145,19 +1145,13 @@ func (s *Server) computeLatest(t *task) taskResult {
 
 // meter builds the measurement service of one prediction against snap:
 // Config.MeterFor's when set, else a default meter over the shared simulator
-// and profile memo. A default meter measures the sandbox with
-// sim.ProfileFeatures on snap's kept features, the only ones its prediction
-// reads, unless snap ranks on raw metric levels, the one feature mode that
-// reads the trace.
+// and profile memo, which measures the sandbox with snap.SandboxWant(), the
+// only part of it the prediction reads.
 func (s *Server) meter(snap *core.Snapshot, seed uint64) oracle.Service {
 	if s.cfg.MeterFor != nil {
 		return s.cfg.MeterFor(seed)
 	}
-	m := &memoMeter{sim: s.sim, seed: seed, cache: s.profiles}
-	if !snap.Config().UseRawFeatures {
-		m.features = snap.KeptFeatures()
-	}
-	return m
+	return &memoMeter{sim: s.sim, seed: seed, cache: s.profiles, sandbox: snap.SandboxWant()}
 }
 
 // compute runs the uncached prediction for one task through the lineage's

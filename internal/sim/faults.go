@@ -1,13 +1,12 @@
 package sim
 
-// Fault-aware execution paths. The unchecked paths (Run, RunTimed,
-// ProfileRun) remain infallible ground-truth physics; the checked paths
-// below consult Config.Chaos and can fail with a typed *RunError. Fault
-// decisions come from a chaos stream that is completely separate from the
-// physics stream, so:
+// The fault-aware execution path. Measure remains infallible ground-truth
+// physics; MeasureAttempt below consults Config.Chaos, and each of its runs
+// can fail with a typed *RunError. Fault decisions come from a chaos stream
+// that is completely separate from the physics stream, so:
 //
-//   - with a nil (or all-zero) plan the checked paths are byte-identical to
-//     the unchecked ones, and
+//   - with a nil (or all-zero) plan MeasureAttempt is byte-identical to
+//     Measure, and
 //   - a run that fails and is retried (attempt+1) re-rolls only the fault
 //     dice — if the retry survives, it measures exactly what the original
 //     run would have measured.
@@ -43,21 +42,6 @@ func (e *RunError) Error() string {
 // rate, but only runs whose working set actually crowds memory can die of
 // it. 0.8 means "within 25% of spilling".
 const oomPressureGate = 0.8
-
-// RunChecked is Run with fault injection: identical physics, but the run
-// can die. On failure the partial RunResult is still returned (its trace is
-// marked Partial) alongside a *RunError.
-func (s *Simulator) RunChecked(app workload.App, vm cloud.VMType, seed uint64) (RunResult, error) {
-	return s.RunAttempt(app, vm, seed, 0)
-}
-
-// RunAttempt is RunChecked for a specific retry attempt. Attempts re-roll
-// the fault decision without touching the physics stream.
-func (s *Simulator) RunAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64) (RunResult, error) {
-	f := s.cfg.Chaos.ForRun(app.Name, vm.Name, seed, attempt)
-	pl := s.planRun(app, vm, nil)
-	return s.attempt(app, vm, seed, attempt, f, &pl, pl.phases, new(metrics.Trace), metrics.AllSeries)
-}
 
 // attempt runs one execution of the plan pl under the fault decision f: the
 // noise, stragglers and truncation rewrite phases (the plan's phases or a
@@ -196,14 +180,16 @@ func applyDropout(tr *metrics.Trace, f chaos.RunFaults) {
 	}
 }
 
-// ProfileAttempt is ProfileRun with fault injection: each of the Repeats
-// runs can die. Failed runs are excluded from the P90/mean/correlation
-// aggregation but counted in FailedRuns, with their burned cluster time in
-// WastedSec. Runs whose trace is too corrupt for a usable correlation
-// vector still contribute their execution time. When every repeat dies, the
-// zero-run Profile (carrying the accounting fields) is returned together
-// with the last *RunError. With a nil chaos plan the result is
-// byte-identical to ProfileRun.
-func (s *Simulator) ProfileAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64) (Profile, error) {
-	return s.profile(app, vm, seed, attempt, s.cfg.Chaos, metrics.AllFeatures, true)
+// MeasureAttempt is Measure with fault injection under Config.Chaos: each
+// of the Repeats runs can die. Failed runs are excluded from the
+// P90/mean/correlation aggregation but counted in FailedRuns, with their
+// burned cluster time in WastedSec. Runs whose trace is too corrupt for a
+// usable correlation vector still contribute their execution time. When
+// every repeat dies, the zero-run Profile (carrying the accounting fields)
+// is returned together with the last *RunError. With a nil chaos plan the
+// result is byte-identical to Measure's for every want. Want{} takes the
+// repeat loop here too: faults stretch and truncate each run's own copy of
+// the phases, which the timed loop never makes.
+func (s *Simulator) MeasureAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64, want Want) (Profile, error) {
+	return s.profile(app, vm, seed, attempt, s.cfg.Chaos, want)
 }

@@ -30,27 +30,27 @@ func faultTestVM(t *testing.T) cloud.VMType {
 }
 
 // TestCheckedPathMatchesUncheckedWithoutChaos is the byte-identity
-// acceptance check at the sim layer: nil plan => RunChecked == Run and
-// ProfileAttempt == ProfileRun, bit for bit.
+// acceptance check at the sim layer: nil plan => a checked run equals the
+// unchecked one and MeasureAttempt == Measure, bit for bit.
 func TestCheckedPathMatchesUncheckedWithoutChaos(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	for _, cfg := range []Config{{}, {Chaos: chaos.NewPlan(1, chaos.Rates{})}} {
 		s := New(cfg)
-		want := s.Run(app, vm, 42)
-		got, err := s.RunChecked(app, vm, 42)
+		want := s.run(app, vm, 42)
+		got, err := s.runAttempt(app, vm, 42, 0)
 		if err != nil {
-			t.Fatalf("RunChecked failed without faults: %v", err)
+			t.Fatalf("checked run failed without faults: %v", err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("RunChecked != Run with cfg %+v", cfg)
+			t.Fatalf("checked run != unchecked run with cfg %+v", cfg)
 		}
-		wantP := s.ProfileRun(app, vm, 42)
-		gotP, err := s.ProfileAttempt(app, vm, 42, 0)
+		wantP := s.Measure(app, vm, 42, full)
+		gotP, err := s.MeasureAttempt(app, vm, 42, 0, full)
 		if err != nil {
-			t.Fatalf("ProfileAttempt failed without faults: %v", err)
+			t.Fatalf("MeasureAttempt failed without faults: %v", err)
 		}
 		if !reflect.DeepEqual(gotP, wantP) {
-			t.Fatalf("ProfileAttempt != ProfileRun with cfg %+v", cfg)
+			t.Fatalf("MeasureAttempt != Measure with cfg %+v", cfg)
 		}
 	}
 }
@@ -61,11 +61,11 @@ func TestChaosDoesNotPerturbUncheckedPaths(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	clean := New(Config{})
 	chaotic := New(Config{Chaos: chaos.NewPlan(3, chaos.Uniform(0.5))})
-	if !reflect.DeepEqual(chaotic.Run(app, vm, 9), clean.Run(app, vm, 9)) {
-		t.Fatal("Run differs when a chaos plan is configured")
+	if !reflect.DeepEqual(chaotic.run(app, vm, 9), clean.run(app, vm, 9)) {
+		t.Fatal("unchecked run differs when a chaos plan is configured")
 	}
-	if !reflect.DeepEqual(chaotic.ProfileRun(app, vm, 9), clean.ProfileRun(app, vm, 9)) {
-		t.Fatal("ProfileRun differs when a chaos plan is configured")
+	if !reflect.DeepEqual(chaotic.Measure(app, vm, 9, full), clean.Measure(app, vm, 9, full)) {
+		t.Fatal("Measure differs when a chaos plan is configured")
 	}
 }
 
@@ -78,15 +78,15 @@ func TestRetrySurvivorMatchesOriginalPhysics(t *testing.T) {
 	s := New(Config{Chaos: chaos.NewPlan(17, chaos.Rates{SpotPreemption: 0.6})})
 	found := false
 	for seed := uint64(0); seed < 200 && !found; seed++ {
-		if _, err := s.RunAttempt(app, vm, seed, 0); err == nil {
+		if _, err := s.runAttempt(app, vm, seed, 0); err == nil {
 			continue
 		}
 		for attempt := uint64(1); attempt < 10; attempt++ {
-			r, err := s.RunAttempt(app, vm, seed, attempt)
+			r, err := s.runAttempt(app, vm, seed, attempt)
 			if err != nil {
 				continue
 			}
-			want := clean.Run(app, vm, seed)
+			want := clean.run(app, vm, seed)
 			if !reflect.DeepEqual(r, want) {
 				t.Fatalf("seed %d attempt %d: surviving retry differs from fault-free run", seed, attempt)
 			}
@@ -103,7 +103,7 @@ func TestPreemptedRunIsPartialAndCheaper(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	clean := New(Config{})
 	s := New(Config{Chaos: chaos.NewPlan(21, chaos.Rates{SpotPreemption: 1})})
-	r, err := s.RunChecked(app, vm, 5)
+	r, err := s.runAttempt(app, vm, 5, 0)
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("want *RunError, got %v", err)
@@ -114,9 +114,9 @@ func TestPreemptedRunIsPartialAndCheaper(t *testing.T) {
 	if r.Trace == nil || !r.Trace.Partial {
 		t.Fatal("killed run's trace not marked Partial")
 	}
-	full := clean.Run(app, vm, 5)
-	if r.Seconds >= full.Seconds {
-		t.Fatalf("preempted run (%.1fs) not shorter than full run (%.1fs)", r.Seconds, full.Seconds)
+	whole := clean.run(app, vm, 5)
+	if r.Seconds >= whole.Seconds {
+		t.Fatalf("preempted run (%.1fs) not shorter than full run (%.1fs)", r.Seconds, whole.Seconds)
 	}
 	if re.WastedSec != r.Seconds {
 		t.Fatalf("WastedSec %.1f != partial Seconds %.1f", re.WastedSec, r.Seconds)
@@ -129,7 +129,7 @@ func TestPreemptedRunIsPartialAndCheaper(t *testing.T) {
 func TestLaunchFailureWastesOnlyOverhead(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	s := New(Config{Chaos: chaos.NewPlan(8, chaos.Rates{LaunchFailure: 1})})
-	r, err := s.RunChecked(app, vm, 3)
+	r, err := s.runAttempt(app, vm, 3, 0)
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("want *RunError, got %v", err)
@@ -148,7 +148,7 @@ func TestLaunchFailureWastesOnlyOverhead(t *testing.T) {
 func TestSamplerDropoutMarksNaNSamples(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	s := New(Config{Chaos: chaos.NewPlan(4, chaos.Rates{SamplerDropout: 0.3})})
-	r, err := s.RunChecked(app, vm, 2)
+	r, err := s.runAttempt(app, vm, 2, 0)
 	if err != nil {
 		t.Fatalf("dropout should not kill the run: %v", err)
 	}
@@ -180,20 +180,20 @@ func TestStragglerStretchesRun(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	clean := New(Config{})
 	s := New(Config{Chaos: chaos.NewPlan(13, chaos.Rates{Straggler: 1})})
-	r, err := s.RunChecked(app, vm, 6)
+	r, err := s.runAttempt(app, vm, 6, 0)
 	if err != nil {
 		t.Fatalf("straggler should not kill the run: %v", err)
 	}
-	full := clean.Run(app, vm, 6)
-	if r.Seconds <= full.Seconds*1.2 {
-		t.Fatalf("straggler run %.1fs not clearly longer than clean %.1fs", r.Seconds, full.Seconds)
+	whole := clean.run(app, vm, 6)
+	if r.Seconds <= whole.Seconds*1.2 {
+		t.Fatalf("straggler run %.1fs not clearly longer than clean %.1fs", r.Seconds, whole.Seconds)
 	}
 }
 
 func TestProfileAttemptAccountsFailures(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	s := New(Config{Repeats: 10, Chaos: chaos.NewPlan(31, chaos.Rates{SpotPreemption: 0.4})})
-	p, err := s.ProfileAttempt(app, vm, 77, 0)
+	p, err := s.MeasureAttempt(app, vm, 77, 0, Want{})
 	if err != nil {
 		if p.FailedRuns != s.Config().Repeats {
 			t.Fatalf("error returned but only %d/%d runs failed", p.FailedRuns, s.Config().Repeats)
@@ -217,7 +217,7 @@ func TestProfileAttemptAccountsFailures(t *testing.T) {
 func TestProfileAttemptAllRunsDead(t *testing.T) {
 	app, vm := faultTestApp(), faultTestVM(t)
 	s := New(Config{Chaos: chaos.NewPlan(2, chaos.Rates{LaunchFailure: 1})})
-	p, err := s.ProfileAttempt(app, vm, 1, 0)
+	p, err := s.MeasureAttempt(app, vm, 1, 0, Want{})
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("want *RunError, got %v", err)

@@ -9,36 +9,39 @@ import (
 	"vesta/internal/workload"
 )
 
-// featuresReference is what ProfileFeatures(feats) must return: the
-// reference profile without its trace, NaN outside feats.
-func featuresReference(want Profile, feats metrics.FeatureSet) Profile {
-	want.Trace = nil
-	for i := range want.Corr {
-		if !feats.Has(i) {
-			want.Corr[i] = math.NaN()
+// measured is what Measure(w) must return when ref is the full measurement:
+// ref without its trace unless w.Trace, NaN outside w.Features.
+func measured(ref Profile, w Want) Profile {
+	if !w.Trace {
+		ref.Trace = nil
+	}
+	for i := range ref.Corr {
+		if !w.Features.Has(i) {
+			ref.Corr[i] = math.NaN()
 		}
 	}
-	return want
+	return ref
 }
 
 // TestProfileFeaturesEverySetMatchesReference pins every skip schedule the
-// sampler can take: ProfileFeatures equals the verbatim reference for each
-// of the 1,023 non-empty feature sets on one (app, VM) pair whose trace is
+// sampler can take: Measure of a features-only want equals the verbatim
+// reference for each of the 1,023 non-empty feature sets on one (app, VM) pair whose trace is
 // about 120 samples long.
 func TestProfileFeaturesEverySetMatchesReference(t *testing.T) {
 	s := New(Config{Repeats: 3})
 	a, vm := app(t, "Hadoop-kmeans"), byName["m5.xlarge"]
 	want := s.refProfileRun(a, vm, 7)
 	for feats := metrics.FeatureSet(1); feats <= metrics.AllFeatures; feats++ {
-		if m := mismatch(s.ProfileFeatures(a, vm, 7, feats), featuresReference(want, feats)); m != "" {
-			t.Fatalf("ProfileFeatures(%010b) differs from the reference at Profile%s", feats, m)
+		w := Want{Features: feats}
+		if m := mismatch(s.Measure(a, vm, 7, w), measured(want, w)); m != "" {
+			t.Fatalf("Measure(%010b) differs from the reference at Profile%s", feats, m)
 		}
 	}
 }
 
 // TestInterleavedProfilesMatchReference: one goroutine interleaves
-// ProfileAttempt under a straggler and preemption plan with ProfileTimed and
-// ProfileFeatures of other pairs, so the pooled plan and phase buffers pass
+// MeasureAttempt under a straggler and preemption plan with times-only and
+// features-only measurements of other pairs, so the pooled plan and phase buffers pass
 // between plans of different lengths and between kinds of profile. Every
 // result must equal the reference: a straggler or a truncation that reached
 // the plan instead of the repeat's copy would skew every later repeat.
@@ -52,22 +55,22 @@ func TestInterleavedProfilesMatchReference(t *testing.T) {
 		vm, seed, attempt := vms[i%len(vms)], uint64(i+1), uint64(i%2)
 		other, otherVM := apps[(i+11)%len(apps)], vms[(i+1)%len(vms)]
 
-		got, gotErr := s.ProfileAttempt(a, vm, seed, attempt)
-		timed := s.ProfileTimed(other, otherVM, seed)
-		feats := s.ProfileFeatures(other, otherVM, seed, kept)
-		again, againErr := s.ProfileAttempt(a, vm, seed, attempt)
+		got, gotErr := s.MeasureAttempt(a, vm, seed, attempt, full)
+		timed := s.Measure(other, otherVM, seed, Want{})
+		feats := s.Measure(other, otherVM, seed, Want{Features: kept})
+		again, againErr := s.MeasureAttempt(a, vm, seed, attempt, full)
 
 		want, wantErr := s.refProfileAttempt(a, vm, seed, attempt)
 		for _, r := range []struct {
 			name      string
 			got, want any
 		}{
-			{"ProfileAttempt", got, want},
-			{"ProfileAttempt error", gotErr, wantErr},
-			{"ProfileTimed", timed, s.refProfileTimed(other, otherVM, seed)},
-			{"ProfileFeatures", feats, featuresReference(s.refProfileRun(other, otherVM, seed), kept)},
-			{"repeated ProfileAttempt", again, want},
-			{"repeated ProfileAttempt error", againErr, wantErr},
+			{"MeasureAttempt", got, want},
+			{"MeasureAttempt error", gotErr, wantErr},
+			{"times-only Measure", timed.Timing(), s.refProfileTimed(other, otherVM, seed)},
+			{"features-only Measure", feats, measured(s.refProfileRun(other, otherVM, seed), Want{Features: kept})},
+			{"repeated MeasureAttempt", again, want},
+			{"repeated MeasureAttempt error", againErr, wantErr},
 		} {
 			if m := mismatch(r.got, r.want); m != "" {
 				t.Fatalf("%s on %s seed %d: %s differs from the reference at%s", a.Name, vm.Name, seed, r.name, m)

@@ -24,7 +24,7 @@ func TestPropPositiveFiniteTimes(t *testing.T) {
 		app := randomApp(seed)
 		vm := catalog[int(seed%uint64(len(catalog)))]
 		s := New(Config{Repeats: 2})
-		r := s.RunTimed(app, vm, seed)
+		r := s.run(app, vm, seed)
 		return r.Seconds > 0 && !math.IsInf(r.Seconds, 0) && !math.IsNaN(r.Seconds) &&
 			r.CostUSD > 0 && !math.IsNaN(r.CostUSD)
 	}
@@ -38,7 +38,7 @@ func TestPropTracesAlwaysValid(t *testing.T) {
 		app := randomApp(seed)
 		vm := catalog[int((seed/7)%uint64(len(catalog)))]
 		s := New(Config{Repeats: 2})
-		r := s.Run(app, vm, seed)
+		r := s.run(app, vm, seed)
 		return r.Trace.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -53,8 +53,8 @@ func TestPropMoreDataNeverFaster(t *testing.T) {
 		app := randomApp(seed)
 		vm := catalog[int((seed/3)%uint64(len(catalog)))]
 		s := New(Config{Repeats: 1})
-		small := s.RunTimed(app, vm, seed).Seconds
-		big := s.RunTimed(app.WithInput(app.InputGB*2), vm, seed).Seconds
+		small := s.run(app, vm, seed).Seconds
+		big := s.run(app.WithInput(app.InputGB*2), vm, seed).Seconds
 		return big >= small*0.98 // allow sub-percent numeric wiggle
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -74,7 +74,7 @@ func TestPropFasterCPUSameFamilyNeverSlower(t *testing.T) {
 	for _, fam := range []string{"M5", "C5", "R5"} {
 		var prev float64
 		for i, vm := range famTypes(fam) {
-			sec := s.ProfileRun(a, vm, 1).P90Seconds
+			sec := s.Measure(a, vm, 1, Want{}).P90Seconds
 			if i > 0 && sec > prev*1.35 {
 				t.Fatalf("%s: size step made Spark-lr %.2fx slower", vm.Name, sec/prev)
 			}
@@ -103,8 +103,8 @@ func TestPropBurstableNeverFasterThanSibling(t *testing.T) {
 		// Compare the repeated-run P90s; run-to-run noise is independent
 		// per VM, so leave generous slack and rely on the trend.
 		s := New(Config{Repeats: 6})
-		burst := s.ProfileRun(app, byName["t3.2xlarge"], seed).P90Seconds
-		std := s.ProfileRun(app, byName["m5.2xlarge"], seed).P90Seconds
+		burst := s.Measure(app, byName["t3.2xlarge"], seed, Want{}).P90Seconds
+		std := s.Measure(app, byName["m5.2xlarge"], seed, Want{}).P90Seconds
 		return burst >= std*0.8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -631,27 +631,31 @@ func referenceVMs() []cloud.VMType {
 	return vms
 }
 
-// referenceFeatureSets are the feature sets ProfileFeatures is held to the
-// reference on: every feature, the PCA-kept set of the default training
-// seeds, the execution ratios alone (no series sampled) and each Pearson
-// feature alone.
-var referenceFeatureSets = func() []metrics.FeatureSet {
-	sets := []metrics.FeatureSet{metrics.AllFeatures, metrics.FeaturesOf([]int{2, 5, 7, 8}), metrics.FeaturesOf([]int{5, 6, 7})}
+// referenceWants are the wants besides the full one that Measure is held
+// to the reference on: times only, the PCA-kept features of the default
+// training seeds (five series sampled), every feature without the trace,
+// the trace alone, the execution ratios alone (no series sampled) and each
+// Pearson feature alone.
+var referenceWants = func() []Want {
+	kept := metrics.FeaturesOf([]int{2, 5, 7, 8})
+	wants := []Want{{}, {Features: kept}, {Features: metrics.AllFeatures}, {Trace: true},
+		{Features: metrics.FeaturesOf([]int{5, 6, 7})}}
 	for i := 0; i < metrics.NumCorrelations; i++ {
 		if metrics.SeriesOf(1<<i) != 0 {
-			sets = append(sets, 1<<i)
+			wants = append(wants, Want{Features: 1 << i})
 		}
 	}
-	return sets
+	return wants
 }()
 
-// TestLeanRepeatsMatchReference holds ProfileRun, ProfileTimed and RunTimed
-// to the pre-change reference over every app, a VM subset, three seeds and
-// the whole referenceGrid: every field, every sample of the kept trace (Run's
-// trace: the first repeat samples through the same path), every phase.
-// ProfileFeatures of every referenceFeatureSets entry must equal the
-// reference profile, and so ProfileRun's, without the trace and with NaN in
-// the correlation components outside its set.
+// TestLeanRepeatsMatchReference holds Measure to the pre-change reference
+// over every app (batch and streaming), a VM subset, three seeds and the
+// whole referenceGrid. The full want must equal refProfileRun in every
+// field, every sample of the kept trace and every phase; every other
+// referenceWants entry must equal it too, without the trace unless it asks
+// for one and with NaN in the correlation components outside its features.
+// Want{}'s times must equal refProfileTimed's, and one traced run (the
+// first repeat's path) refRun's.
 func TestLeanRepeatsMatchReference(t *testing.T) {
 	apps := workload.All()
 	if len(apps) != 30 {
@@ -664,9 +668,9 @@ func TestLeanRepeatsMatchReference(t *testing.T) {
 			for _, vm := range referenceVMs() {
 				for _, seed := range []uint64{1, 42, 0xdeadbeef} {
 					want := s.refProfileRun(a, vm, seed)
-					got := s.ProfileRun(a, vm, seed)
+					got := s.Measure(a, vm, seed, full)
 					if m := mismatch(got, want); m != "" {
-						t.Fatalf("%s %s on %s seed %d: ProfileRun differs from the reference at Profile%s",
+						t.Fatalf("%s %s on %s seed %d: the full measurement differs from the reference at Profile%s",
 							g.name, a.Name, vm.Name, seed, m)
 					}
 					// The kept trace is sized once: no series outgrew its
@@ -678,25 +682,18 @@ func TestLeanRepeatsMatchReference(t *testing.T) {
 								g.name, a.Name, vm.Name, seed, metrics.SeriesID(id), len(ser), cap(ser))
 						}
 					}
-					for _, feats := range referenceFeatureSets {
-						wantFeatures := want
-						wantFeatures.Trace = nil
-						for i := range wantFeatures.Corr {
-							if !feats.Has(i) {
-								wantFeatures.Corr[i] = math.NaN()
-							}
-						}
-						if m := mismatch(s.ProfileFeatures(a, vm, seed, feats), wantFeatures); m != "" {
-							t.Fatalf("%s %s on %s seed %d: ProfileFeatures(%010b) differs from the trace-less reference at Profile%s",
-								g.name, a.Name, vm.Name, seed, feats, m)
+					for _, w := range referenceWants {
+						if m := mismatch(s.Measure(a, vm, seed, w), measured(want, w)); m != "" {
+							t.Fatalf("%s %s on %s seed %d: Measure(%+v) differs from the reference at Profile%s",
+								g.name, a.Name, vm.Name, seed, w, m)
 						}
 					}
-					if m := mismatch(s.ProfileTimed(a, vm, seed), s.refProfileTimed(a, vm, seed)); m != "" {
-						t.Fatalf("%s %s on %s seed %d: ProfileTimed differs from the reference at Timing%s",
+					if m := mismatch(s.Measure(a, vm, seed, Want{}).Timing(), s.refProfileTimed(a, vm, seed)); m != "" {
+						t.Fatalf("%s %s on %s seed %d: Measure(Want{}) differs from the timed reference at Timing%s",
 							g.name, a.Name, vm.Name, seed, m)
 					}
-					if m := mismatch(s.RunTimed(a, vm, seed), s.refRunTimed(a, vm, seed)); m != "" {
-						t.Fatalf("%s %s on %s seed %d: RunTimed differs from the reference at RunResult%s",
+					if m := mismatch(s.run(a, vm, seed), s.refRun(a, vm, seed)); m != "" {
+						t.Fatalf("%s %s on %s seed %d: one run differs from the reference at RunResult%s",
 							g.name, a.Name, vm.Name, seed, m)
 					}
 					if want.Trace.SampleSec > s.cfg.SampleSec {
@@ -714,8 +711,8 @@ func TestLeanRepeatsMatchReference(t *testing.T) {
 // TestLeanCheckedRepeatsMatchReference holds the checked path to the
 // reference under fault injection: with every fault class at 15% and 40%
 // (so first repeats die, later ones survive, and dropout NaNs land in lean
-// and kept traces alike) ProfileAttempt and RunAttempt return what they returned
-// before, errors included.
+// and kept traces alike) MeasureAttempt with the full want and one checked
+// run return what the reference returns, errors included.
 func TestLeanCheckedRepeatsMatchReference(t *testing.T) {
 	apps := workload.All()
 	failedFirst := 0
@@ -728,24 +725,24 @@ func TestLeanCheckedRepeatsMatchReference(t *testing.T) {
 				for _, vm := range referenceVMs() {
 					for _, attempt := range []uint64{0, 1} {
 						seed := uint64(11)
-						got, gotErr := s.ProfileAttempt(a, vm, seed, attempt)
+						got, gotErr := s.MeasureAttempt(a, vm, seed, attempt, full)
 						want, wantErr := s.refProfileAttempt(a, vm, seed, attempt)
 						if m := mismatch(got, want); m != "" {
-							t.Fatalf("rate %v %s on %s attempt %d: ProfileAttempt differs from the reference at Profile%s",
+							t.Fatalf("rate %v %s on %s attempt %d: MeasureAttempt differs from the reference at Profile%s",
 								rate, a.Name, vm.Name, attempt, m)
 						}
 						if m := mismatch(gotErr, wantErr); m != "" {
-							t.Fatalf("rate %v %s on %s attempt %d: ProfileAttempt error %v, reference %v",
+							t.Fatalf("rate %v %s on %s attempt %d: MeasureAttempt error %v, reference %v",
 								rate, a.Name, vm.Name, attempt, gotErr, wantErr)
 						}
-						r, rErr := s.RunAttempt(a, vm, seed, attempt)
+						r, rErr := s.runAttempt(a, vm, seed, attempt)
 						wr, wrErr := s.refRunAttempt(a, vm, seed, attempt)
 						if m := mismatch(r, wr); m != "" {
-							t.Fatalf("rate %v %s on %s attempt %d: RunAttempt differs from the reference at RunResult%s",
+							t.Fatalf("rate %v %s on %s attempt %d: one checked run differs from the reference at RunResult%s",
 								rate, a.Name, vm.Name, attempt, m)
 						}
 						if m := mismatch(rErr, wrErr); m != "" {
-							t.Fatalf("rate %v %s on %s attempt %d: RunAttempt error %v, reference %v",
+							t.Fatalf("rate %v %s on %s attempt %d: checked run error %v, reference %v",
 								rate, a.Name, vm.Name, attempt, rErr, wrErr)
 						}
 						if rErr != nil && want.FailedRuns < cfg.Repeats && want.Trace != nil {

@@ -119,7 +119,8 @@ type Profile struct {
 	P90LatencyMS   float64
 	ThroughputMBps float64
 	// FailedRuns and WastedSec account for fault-injected repeats that died
-	// before completing (ProfileAttempt only; always zero on ProfileRun).
+	// before completing (MeasureAttempt under Config.Chaos only; always zero
+	// on Measure).
 	// WastedSec is the simulated cluster time burned by the failed runs —
 	// the Figure-8-style overhead a resilient pipeline must still pay for.
 	FailedRuns int
@@ -136,13 +137,12 @@ type Config struct {
 	// is a busy shared region. It scales both the run-to-run jitter and the
 	// phase-balance instability.
 	Interference float64
-	// Chaos, when non-nil, injects deterministic faults on the checked run
-	// paths (RunChecked, RunAttempt, ProfileAttempt). The unchecked paths
-	// (Run, RunTimed, ProfileRun) never fail regardless of Chaos — they are
+	// Chaos, when non-nil, injects deterministic faults on the checked
+	// path, MeasureAttempt. Measure never fails regardless of Chaos — it is
 	// the ground-truth physics that baselines and oracle tables rely on.
 	Chaos *chaos.Plan
 	// Tracer, when enabled, receives one event per injected fault on the
-	// checked run paths, keyed by (app, vm, seed, attempt) — a pure function
+	// checked path, keyed by (app, vm, seed, attempt) — a pure function
 	// of the chaos plan, so traces stay byte-identical at any worker count.
 	Tracer *obs.Tracer
 }
@@ -220,25 +220,6 @@ const burstWindowSec = 120
 
 // burstThrottle is the sustained CPU fraction once burst credits run out.
 const burstThrottle = 0.55
-
-// Run simulates one execution of app on a cluster of nodes x vm, using seed
-// for run-to-run cloud noise, including the sampled metric trace. It never
-// fails: pathological configurations (tiny memory, huge data) produce long
-// execution times, exactly like an overloaded real cluster.
-func (s *Simulator) Run(app workload.App, vm cloud.VMType, seed uint64) RunResult {
-	pl := s.planRun(app, vm, nil)
-	r, src := s.repeat(app, vm, seed, &pl, pl.phases)
-	r.Trace = s.sampleTrace(new(metrics.Trace), r.Phases, &src, metrics.AllSeries)
-	return r
-}
-
-// RunTimed is Run without the metric trace — the fast path for repeated
-// measurements where only the execution time matters.
-func (s *Simulator) RunTimed(app workload.App, vm cloud.VMType, seed uint64) RunResult {
-	pl := s.planRun(app, vm, nil)
-	r, _ := s.repeat(app, vm, seed, &pl, pl.phases)
-	return r
-}
 
 // runPlan is the noise-free part of a run: everything that depends on the
 // app, the VM's physics and the cluster but not on the seed. A profile plans
@@ -497,8 +478,8 @@ func (s *Simulator) repeat(app workload.App, vm cloud.VMType, seed uint64, pl *r
 	}, *src
 }
 
-// runSeedStride spaces the per-repeat seeds of a profile; ProfileTimed must
-// use the same stride as the repeat loop so its times match ProfileRun's.
+// runSeedStride spaces the per-repeat seeds of a profile; the timed loop
+// must use the same stride as the repeat loop so its times match.
 const runSeedStride = 0x9e37
 
 // Timing is the time-only summary of the repeated-measurement protocol:
@@ -544,24 +525,38 @@ func (p Profile) withTiming(t Timing) Profile {
 	return p
 }
 
-// ProfileRun performs the paper's full measurement protocol: Repeats runs,
-// P90 execution time, cost at P90, the metric trace of the first run and the
-// correlation vector averaged over all runs.
-func (s *Simulator) ProfileRun(app workload.App, vm cloud.VMType, seed uint64) Profile {
-	p, _ := s.profile(app, vm, seed, 0, nil, metrics.AllFeatures, true)
-	return p
+// Want says what a measurement must carry besides its times. The zero
+// value asks for times only: no trace, and NaN in every correlation
+// component. Every field a Want leaves out equals the full measurement's
+// (Want{metrics.AllFeatures, true}) bit for bit, so a caller asks only for
+// what it reads.
+type Want struct {
+	// Features are the correlation features Corr must hold: every repeat
+	// samples only metrics.SeriesOf(Features), correlates only Features and
+	// counts toward Corr when it is valid on them. Corr's other components
+	// are NaN.
+	Features metrics.FeatureSet
+	// Trace keeps the full metric trace of the first repeat to complete.
+	Trace bool
 }
 
-// ProfileFeatures is ProfileRun for a reader of the correlation features in
-// feats: the same repeats over the same per-repeat seeds, but every repeat
-// samples only metrics.SeriesOf(feats), correlates only feats, and counts
-// toward Corr when it is valid on feats. No trace is kept (Trace is nil) and
-// Corr's components outside feats are NaN. The series left out only skip
-// their draws, so every other field equals ProfileRun's bit for bit, and so
-// does every component in feats while no repeat is invalid outside them —
-// as no fault-free repeat is.
-func (s *Simulator) ProfileFeatures(app workload.App, vm cloud.VMType, seed uint64, feats metrics.FeatureSet) Profile {
-	p, _ := s.profile(app, vm, seed, 0, nil, feats, false)
+// Measure performs the paper's measurement protocol for app on vm:
+// Repeats runs over per-repeat seeds derived from seed, P90 execution
+// time, cost at P90, and what want asks for — the correlation vector
+// averaged over the valid repeats and the first repeat's metric trace. It
+// never fails, whatever Config.Chaos says: it is the ground-truth physics
+// that baselines and oracle tables rely on.
+//
+// The series and features a want leaves out only skip their draws, so every
+// other field equals the full measurement's bit for bit, and so does every
+// component in Features while no repeat is invalid outside them — as no
+// fault-free repeat is. Want{} takes the timed loop, which reads the plan's
+// phase times without copying a phase or sampling a series.
+func (s *Simulator) Measure(app workload.App, vm cloud.VMType, seed uint64, want Want) Profile {
+	if want == (Want{}) {
+		return s.timed(app, vm, seed)
+	}
+	p, _ := s.profile(app, vm, seed, 0, nil, want)
 	return p
 }
 
@@ -604,16 +599,16 @@ func (sc *repeatScratch) p90(xs []float64) float64 {
 	return stats.SortedPercentile(sc.sorted, 90)
 }
 
-// profile is the repeat loop behind ProfileRun, ProfileFeatures (faults nil:
-// no run can fail) and ProfileAttempt. It plans the run once; each repeat
-// copies the plan's phases, draws its noise over the copy and feeds the
-// correlation features in feats: it samples only metrics.SeriesOf(feats)
-// into the scratch trace, skipping the other series' draws, and counts
-// toward Corr when its vector is valid on feats. With keepTrace the first
-// repeat to complete instead samples every series into a new trace that the
-// Profile returns; without it every repeat is lean and Trace is nil.
+// profile is the repeat loop behind Measure (faults nil: no run can fail)
+// and MeasureAttempt. It plans the run once; each repeat copies the plan's
+// phases, draws its noise over the copy and feeds the correlation features
+// want asks for: it samples only their series into the scratch trace,
+// skipping the other series' draws, and counts toward Corr when its vector
+// is valid on them. With want.Trace the first repeat to complete instead
+// samples every series into a new trace that the Profile returns; without
+// it every repeat is lean and Trace is nil.
 func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uint64, faults *chaos.Plan,
-	feats metrics.FeatureSet, keepTrace bool) (Profile, error) {
+	want Want) (Profile, error) {
 	sc := scratchPool.Get().(*repeatScratch)
 	defer scratchPool.Put(sc)
 	sc.plan = s.planRun(app, vm, sc.plan.phases)
@@ -628,13 +623,14 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 		failed  int
 		wasted  float64
 		lastErr error
+		feats   = want.Features
 		lean    = metrics.SeriesOf(feats)
 		kept    *metrics.Trace // reused by first repeats that fail
 	)
 	for i := 0; i < s.cfg.Repeats; i++ {
 		runSeed := seed + uint64(i)*runSeedStride
 		tr, ser := sc.leanTrace(), lean
-		if keepTrace && !haveRun {
+		if want.Trace && !haveRun {
 			if kept == nil {
 				kept = new(metrics.Trace)
 			}
@@ -680,7 +676,7 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 			corrSum[j] = math.NaN()
 		}
 	}
-	if !keepTrace {
+	if !want.Trace {
 		first.Trace = nil // the scratch trace: never handed out
 	}
 	return Profile{
@@ -690,13 +686,12 @@ func (s *Simulator) profile(app workload.App, vm cloud.VMType, seed, attempt uin
 	}.withTiming(s.summarize(sc, vm, runs, lats, thr)), nil
 }
 
-// ProfileTimed is ProfileRun without the metric traces: the same repeats
-// over the same per-repeat seeds, each drawing its noise over one pooled
-// plan and reading the plan's phase times without copying a phase. The
-// physics finishes before trace sampling starts, so every field equals
-// ProfileRun's bit for bit at a fraction of the cost. Use it wherever only
-// times are read.
-func (s *Simulator) ProfileTimed(app workload.App, vm cloud.VMType, seed uint64) Timing {
+// timed is Measure's loop for Want{}: the same repeats over the same
+// per-repeat seeds, each drawing its noise over one pooled plan and reading
+// the plan's phase times without copying a phase. The physics finishes
+// before trace sampling starts, so every time equals the full measurement's
+// bit for bit at a fraction of the cost.
+func (s *Simulator) timed(app workload.App, vm cloud.VMType, seed uint64) Profile {
 	sc := scratchPool.Get().(*repeatScratch)
 	defer scratchPool.Put(sc)
 	sc.plan = s.planRun(app, vm, sc.plan.phases)
@@ -711,8 +706,19 @@ func (s *Simulator) ProfileTimed(app workload.App, vm cloud.VMType, seed uint64)
 		thr += tput
 	}
 	sc.lats = lats
-	return s.summarize(sc, vm, runs, lats, thr)
+	return Profile{
+		App: app, VM: vm, Nodes: s.cfg.Nodes, Exec: pl.exec, Corr: noCorr,
+	}.withTiming(s.summarize(sc, vm, runs, lats, thr))
 }
+
+// noCorr is the correlation vector of a measurement that asked for no
+// feature: NaN in every component.
+var noCorr = func() (c metrics.CorrVector) {
+	for i := range c {
+		c[i] = math.NaN()
+	}
+	return c
+}()
 
 // phase constructors set the characteristic utilization levels that the
 // sampler perturbs. Levels are fractions of capacity in [0, 1].

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vesta/internal/chaos"
 	"vesta/internal/cloud"
 	"vesta/internal/metrics"
 	"vesta/internal/workload"
@@ -23,16 +24,40 @@ func app(t *testing.T, name string) workload.App {
 	return a
 }
 
+// full asks for the paper's full measurement: every correlation feature
+// and the first repeat's trace.
+var full = Want{Features: metrics.AllFeatures, Trace: true}
+
+// runAttempt is one execution of app on vm under seed, with its full metric
+// trace: a repeat of a profile under attempt's faults from Config.Chaos,
+// built from the same plan and attempt steps the repeat loop takes.
+func (s *Simulator) runAttempt(app workload.App, vm cloud.VMType, seed, attempt uint64) (RunResult, error) {
+	return s.runWith(s.cfg.Chaos, app, vm, seed, attempt)
+}
+
+// run is runAttempt without faults, whatever Config.Chaos says: it never
+// fails.
+func (s *Simulator) run(app workload.App, vm cloud.VMType, seed uint64) RunResult {
+	r, _ := s.runWith(nil, app, vm, seed, 0)
+	return r
+}
+
+func (s *Simulator) runWith(faults *chaos.Plan, app workload.App, vm cloud.VMType, seed, attempt uint64) (RunResult, error) {
+	pl := s.planRun(app, vm, nil)
+	f := faults.ForRun(app.Name, vm.Name, seed, attempt)
+	return s.attempt(app, vm, seed, attempt, f, &pl, pl.phases, new(metrics.Trace), metrics.AllSeries)
+}
+
 func TestRunDeterministic(t *testing.T) {
 	s := New(DefaultConfig())
 	a := app(t, "Spark-lr")
 	vm := byName["m5.xlarge"]
-	r1 := s.Run(a, vm, 7)
-	r2 := s.Run(a, vm, 7)
+	r1 := s.run(a, vm, 7)
+	r2 := s.run(a, vm, 7)
 	if r1.Seconds != r2.Seconds {
 		t.Fatalf("same seed gave %v and %v", r1.Seconds, r2.Seconds)
 	}
-	r3 := s.Run(a, vm, 8)
+	r3 := s.run(a, vm, 8)
 	if r3.Seconds == r1.Seconds {
 		t.Fatal("different seeds gave identical times")
 	}
@@ -42,7 +67,7 @@ func TestRunPositiveAndFinite(t *testing.T) {
 	s := New(DefaultConfig())
 	for _, a := range workload.All() {
 		for _, vmName := range []string{"t3.small", "m5.xlarge", "c5.8xlarge", "r5.large", "i3en.12xlarge"} {
-			r := s.Run(a, byName[vmName], 1)
+			r := s.run(a, byName[vmName], 1)
 			if r.Seconds <= 0 || math.IsInf(r.Seconds, 0) || math.IsNaN(r.Seconds) {
 				t.Fatalf("%s on %s: bad time %v", a.Name, vmName, r.Seconds)
 			}
@@ -57,7 +82,7 @@ func TestTraceValidForAllApps(t *testing.T) {
 	s := New(DefaultConfig())
 	vm := byName["m5.2xlarge"]
 	for _, a := range workload.All() {
-		r := s.Run(a, vm, 3)
+		r := s.run(a, vm, 3)
 		if err := r.Trace.Validate(); err != nil {
 			t.Fatalf("%s: invalid trace: %v", a.Name, err)
 		}
@@ -71,8 +96,8 @@ func TestTraceValidForAllApps(t *testing.T) {
 func TestMoreComputeIsFasterForCPUBound(t *testing.T) {
 	s := New(DefaultConfig())
 	a := app(t, "Spark-lr") // compute-intensive, memory fits on big VMs
-	small := s.Run(a, byName["c5.xlarge"], 1).Seconds
-	big := s.Run(a, byName["c5.8xlarge"], 1).Seconds
+	small := s.run(a, byName["c5.xlarge"], 1).Seconds
+	big := s.run(a, byName["c5.8xlarge"], 1).Seconds
 	if big >= small {
 		t.Fatalf("8xlarge (%v s) not faster than xlarge (%v s) for CPU-bound app", big, small)
 	}
@@ -82,12 +107,12 @@ func TestMemoryPressurePenalizesSpark(t *testing.T) {
 	s := New(DefaultConfig())
 	a := app(t, "Spark-kmeans") // 1.8 GiB/GB x 8 GB = 14.4 GiB working set
 	// c5.large: 4 GiB/node x 4 nodes x 0.7 usable = 11.2 GiB -> pressure > 1.
-	tight := s.Run(a, byName["c5.large"], 1)
+	tight := s.run(a, byName["c5.large"], 1)
 	if tight.MemPressure <= 1 {
 		t.Fatalf("expected memory pressure > 1 on c5.large, got %v", tight.MemPressure)
 	}
 	// r5.large has identical vCPUs but 4x the memory.
-	roomy := s.Run(a, byName["r5.large"], 1)
+	roomy := s.run(a, byName["r5.large"], 1)
 	if roomy.MemPressure >= 1 {
 		t.Fatalf("expected pressure < 1 on r5.large, got %v", roomy.MemPressure)
 	}
@@ -102,8 +127,8 @@ func TestFrameworkOverheadOrdering(t *testing.T) {
 	// Hadoop's disk-materialized supersteps for an iterative ML kernel.
 	s := New(DefaultConfig())
 	vm := byName["m5.2xlarge"]
-	hadoop := s.Run(app(t, "Hadoop-lr"), vm, 1).Seconds
-	spark := s.Run(app(t, "Spark-lr"), vm, 1).Seconds
+	hadoop := s.run(app(t, "Hadoop-lr"), vm, 1).Seconds
+	spark := s.run(app(t, "Spark-lr"), vm, 1).Seconds
 	if spark >= hadoop {
 		t.Fatalf("Spark-lr (%v s) not faster than Hadoop-lr (%v s) on %s", spark, hadoop, vm.Name)
 	}
@@ -114,8 +139,8 @@ func TestRawMetricLevelsDifferAcrossFrameworks(t *testing.T) {
 	// metric levels on different frameworks (Hadoop materializes to disk).
 	s := New(DefaultConfig())
 	vm := byName["m5.2xlarge"]
-	h := s.Run(app(t, "Hadoop-lr"), vm, 1)
-	sp := s.Run(app(t, "Spark-lr"), vm, 1)
+	h := s.run(app(t, "Hadoop-lr"), vm, 1)
+	sp := s.run(app(t, "Spark-lr"), vm, 1)
 	diskMean := func(tr *metrics.Trace) float64 {
 		total := 0.0
 		for i := range tr.Series[metrics.DiskRead] {
@@ -136,7 +161,7 @@ func TestCorrelationsTransferAcrossFrameworks(t *testing.T) {
 	s := New(DefaultConfig())
 	vm := byName["m5.2xlarge"]
 	corr := func(name string) metrics.CorrVector {
-		r := s.Run(app(t, name), vm, 1)
+		r := s.run(app(t, name), vm, 1)
 		return metrics.Correlations(r.Trace, r.Exec)
 	}
 	hadoopLR := corr("Hadoop-lr")
@@ -153,8 +178,8 @@ func TestCorrelationsTransferAcrossFrameworks(t *testing.T) {
 func TestBurstableThrottling(t *testing.T) {
 	s := New(DefaultConfig())
 	a := app(t, "Spark-lr")
-	t3 := s.Run(a, byName["t3.2xlarge"], 1).Seconds
-	m5 := s.Run(a, byName["m5.2xlarge"], 1).Seconds
+	t3 := s.run(a, byName["t3.2xlarge"], 1).Seconds
+	m5 := s.run(a, byName["m5.2xlarge"], 1).Seconds
 	// Same nominal size, but the burstable family throttles on long jobs.
 	if t3 <= m5 {
 		t.Fatalf("t3.2xlarge (%v s) should be slower than m5.2xlarge (%v s) on a long job", t3, m5)
@@ -164,8 +189,8 @@ func TestBurstableThrottling(t *testing.T) {
 func TestStorageOptimizedWinsShuffleHeavy(t *testing.T) {
 	s := New(DefaultConfig())
 	a := app(t, "Hadoop-terasort") // full shuffle, disk-materialized
-	i3 := s.Run(a, byName["i3.2xlarge"], 1).Seconds
-	r4 := s.Run(a, byName["r4.2xlarge"], 1).Seconds
+	i3 := s.run(a, byName["i3.2xlarge"], 1).Seconds
+	r4 := s.run(a, byName["r4.2xlarge"], 1).Seconds
 	if i3 >= r4 {
 		t.Fatalf("i3.2xlarge (%v s) should beat r4.2xlarge (%v s) on disk-bound terasort", i3, r4)
 	}
@@ -173,7 +198,7 @@ func TestStorageOptimizedWinsShuffleHeavy(t *testing.T) {
 
 func TestProfileRunP90(t *testing.T) {
 	s := New(DefaultConfig())
-	p := s.ProfileRun(app(t, "Spark-lr"), byName["m5.xlarge"], 5)
+	p := s.Measure(app(t, "Spark-lr"), byName["m5.xlarge"], 5, full)
 	if len(p.Runs) != 10 {
 		t.Fatalf("profile has %d runs, want 10", len(p.Runs))
 	}
@@ -200,8 +225,8 @@ func TestProfileRunP90(t *testing.T) {
 func TestSvdppHighVariance(t *testing.T) {
 	// The paper reports Spark-svd++ runs with close to 40% variance.
 	s := New(DefaultConfig())
-	pSvd := s.ProfileRun(app(t, "Spark-svd++"), byName["m5.xlarge"], 5)
-	pLR := s.ProfileRun(app(t, "Spark-lr"), byName["m5.xlarge"], 5)
+	pSvd := s.Measure(app(t, "Spark-svd++"), byName["m5.xlarge"], 5, full)
+	pLR := s.Measure(app(t, "Spark-lr"), byName["m5.xlarge"], 5, full)
 	cv := func(p Profile) float64 {
 		mean := p.MeanSec
 		v := 0.0
@@ -227,7 +252,7 @@ func TestTinyRunStillSampled(t *testing.T) {
 	// Even a sub-5-second job must produce at least one metric sample.
 	s := New(Config{Nodes: 4, Repeats: 2, SampleSec: 5})
 	a := app(t, "Hive-select").WithInput(0.05)
-	r := s.Run(a, byName["c5.8xlarge"], 1)
+	r := s.run(a, byName["c5.8xlarge"], 1)
 	if r.Trace.Len() < 1 {
 		t.Fatal("no samples emitted for a tiny run")
 	}
@@ -239,7 +264,7 @@ func TestTinyRunStillSampled(t *testing.T) {
 func TestPhasesSumApproxTotal(t *testing.T) {
 	s := New(DefaultConfig())
 	a := app(t, "Hadoop-terasort")
-	r := s.Run(a, byName["m5.xlarge"], 2)
+	r := s.run(a, byName["m5.xlarge"], 2)
 	sum := 0.0
 	for _, ph := range r.Phases {
 		sum += ph.Seconds
@@ -259,7 +284,7 @@ func TestHeatMapShapeFollowsCPUMemRatio(t *testing.T) {
 	// an extremely memory-fat VM must cost more than a balanced one.
 	s := New(DefaultConfig())
 	a := app(t, "Spark-kmeans")
-	cost := func(name string) float64 { return s.ProfileRun(a, byName[name], 3).CostUSD }
+	cost := func(name string) float64 { return s.Measure(a, byName[name], 3, Want{}).CostUSD }
 	// Same ladder size, three memory ratios.
 	balanced := cost("m5.large") // 4 GiB/vCPU
 	lean := cost("c5.large")     // 2 GiB/vCPU, memory-starved for kmeans
@@ -273,8 +298,8 @@ func TestStreamingUsesNetworkIngest(t *testing.T) {
 	s := New(DefaultConfig())
 	a := app(t, "Hadoop-twitter")
 	// A network-rich family should beat its plain sibling on streaming.
-	m5n := s.Run(a, byName["m5n.xlarge"], 1).Seconds
-	m5 := s.Run(a, byName["m5.xlarge"], 1).Seconds
+	m5n := s.run(a, byName["m5n.xlarge"], 1).Seconds
+	m5 := s.run(a, byName["m5.xlarge"], 1).Seconds
 	if m5n >= m5 {
 		t.Fatalf("m5n (%v s) should beat m5 (%v s) on streaming ingest", m5n, m5)
 	}
@@ -291,13 +316,15 @@ func TestPhaseKindString(t *testing.T) {
 	}
 }
 
+// BenchmarkRun measures one traced run: a single-repeat measurement that
+// keeps the trace and correlates nothing.
 func BenchmarkRun(b *testing.B) {
-	s := New(DefaultConfig())
+	s := New(Config{Repeats: 1})
 	a, _ := workload.ByName("Spark-lr")
 	vm := byName["m5.xlarge"]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.Run(a, vm, uint64(i))
+		profileSink = s.Measure(a, vm, uint64(i), Want{Trace: true})
 	}
 }
 
@@ -306,12 +333,11 @@ func BenchmarkRun(b *testing.B) {
 // Hadoop/Hive trace (about 120 samples), so trace-length regressions show.
 var benchApps = []string{"Spark-lr", "Hadoop-kmeans"}
 
-// Benchmark sinks keep the measured calls from being optimized away.
-var (
-	profileSink Profile
-	timingSink  Timing
-)
+// profileSink keeps the measured calls from being optimized away.
+var profileSink Profile
 
+// BenchmarkProfileRun measures the full measurement: every feature and the
+// first repeat's trace.
 func BenchmarkProfileRun(b *testing.B) {
 	s := New(DefaultConfig())
 	vm := byName["m5.xlarge"]
@@ -320,12 +346,13 @@ func BenchmarkProfileRun(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				profileSink = s.ProfileRun(a, vm, uint64(i))
+				profileSink = s.Measure(a, vm, uint64(i), full)
 			}
 		})
 	}
 }
 
+// BenchmarkProfileTimed measures a times-only measurement, Want{}.
 func BenchmarkProfileTimed(b *testing.B) {
 	s := New(DefaultConfig())
 	vm := byName["m5.xlarge"]
@@ -334,7 +361,7 @@ func BenchmarkProfileTimed(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				timingSink = s.ProfileTimed(a, vm, uint64(i))
+				profileSink = s.Measure(a, vm, uint64(i), Want{})
 			}
 		})
 	}
@@ -351,7 +378,7 @@ func BenchmarkProfileFeatures(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				profileSink = s.ProfileFeatures(a, vm, uint64(i), kept)
+				profileSink = s.Measure(a, vm, uint64(i), Want{Features: kept})
 			}
 		})
 	}
@@ -359,8 +386,8 @@ func BenchmarkProfileFeatures(b *testing.B) {
 
 // TestProfileAllocsIndependentOfRepeats is the allocation guard of the lean
 // repeat loop: a profile's repeats share their phase buffer, scratch trace
-// and correlation sums, so ProfileRun, ProfileFeatures and ProfileTimed
-// allocate no more at 40 repeats than at 10. The scratch comes from a
+// and correlation sums, so the full, the features-only and the times-only
+// measurement allocate no more at 40 repeats than at 10. The scratch comes from a
 // sync.Pool, which a GC may empty and which drops a quarter of its Puts
 // under the race detector; a call that finds it empty allocates fresh
 // scratch. So each count is the fewest over ten calls: the steady state.
@@ -376,17 +403,17 @@ func TestProfileAllocsIndependentOfRepeats(t *testing.T) {
 			}
 			return fewest
 		}
-		run := func(s *Simulator) { s.ProfileRun(a, vm, 3) }
-		features := func(s *Simulator) { s.ProfileFeatures(a, vm, 3, metrics.AllFeatures) }
-		timed := func(s *Simulator) { s.ProfileTimed(a, vm, 3) }
+		run := func(s *Simulator) { s.Measure(a, vm, 3, full) }
+		features := func(s *Simulator) { s.Measure(a, vm, 3, Want{Features: metrics.AllFeatures}) }
+		timed := func(s *Simulator) { s.Measure(a, vm, 3, Want{}) }
 		if r10, r40 := allocs(10, run), allocs(40, run); r40 > r10 {
-			t.Errorf("%s: ProfileRun allocates %v times at 40 repeats, %v at 10", name, r40, r10)
+			t.Errorf("%s: the full measurement allocates %v times at 40 repeats, %v at 10", name, r40, r10)
 		}
 		if f10, f40 := allocs(10, features), allocs(40, features); f40 > f10 {
-			t.Errorf("%s: ProfileFeatures allocates %v times at 40 repeats, %v at 10", name, f40, f10)
+			t.Errorf("%s: the features-only measurement allocates %v times at 40 repeats, %v at 10", name, f40, f10)
 		}
 		if t10, t40 := allocs(10, timed), allocs(40, timed); t40 > t10 {
-			t.Errorf("%s: ProfileTimed allocates %v times at 40 repeats, %v at 10", name, t40, t10)
+			t.Errorf("%s: the times-only measurement allocates %v times at 40 repeats, %v at 10", name, t40, t10)
 		}
 	}
 }
@@ -402,14 +429,14 @@ func TestHiveEngineOverheads(t *testing.T) {
 	hiveLR.Name = "Hive-lr"
 	hiveLR.Framework = workload.Hive
 	// Compare repeated-run P90s so run-to-run noise cannot flip the order.
-	hd := s.ProfileRun(hadoopLR, vm, 3)
-	hv := s.ProfileRun(hiveLR, vm, 3)
+	hd := s.Measure(hadoopLR, vm, 3, Want{})
+	hv := s.Measure(hiveLR, vm, 3, Want{})
 	if hv.P90Seconds <= hd.P90Seconds {
 		t.Fatalf("Hive (%v s) not slower than Hadoop (%v s) for the same kernel", hv.P90Seconds, hd.P90Seconds)
 	}
 	// The stage multiplier creates more barriers: Hive runs more phases.
-	hdPhases := s.Run(hadoopLR, vm, 3).Phases
-	hvPhases := s.Run(hiveLR, vm, 3).Phases
+	hdPhases := s.run(hadoopLR, vm, 3).Phases
+	hvPhases := s.run(hiveLR, vm, 3).Phases
 	if len(hvPhases) <= len(hdPhases) {
 		t.Fatalf("Hive has %d phases, Hadoop %d; plan translation should add stages",
 			len(hvPhases), len(hdPhases))
@@ -429,8 +456,8 @@ func TestInterferenceInflatesVariance(t *testing.T) {
 		}
 		return math.Sqrt(v/float64(len(p.Runs))) / m
 	}
-	q := cv(quiet.ProfileRun(a, vm, 5))
-	b := cv(busy.ProfileRun(a, vm, 5))
+	q := cv(quiet.Measure(a, vm, 5, full))
+	b := cv(busy.Measure(a, vm, 5, full))
 	if b <= q {
 		t.Fatalf("interference did not inflate variance: quiet CV %v, busy CV %v", q, b)
 	}
@@ -441,8 +468,8 @@ func TestZeroInterferenceMatchesDefault(t *testing.T) {
 	// the paper experiments are unaffected by the extension knob.
 	a := app(t, "Hadoop-terasort")
 	vm := byName["i3.2xlarge"]
-	d := New(DefaultConfig()).ProfileRun(a, vm, 9)
-	z := New(Config{Nodes: 4, Repeats: 10, SampleSec: 5, Interference: 0}).ProfileRun(a, vm, 9)
+	d := New(DefaultConfig()).Measure(a, vm, 9, full)
+	z := New(Config{Nodes: 4, Repeats: 10, SampleSec: 5, Interference: 0}).Measure(a, vm, 9, full)
 	if d.P90Seconds != z.P90Seconds {
 		t.Fatalf("zero interference changed results: %v vs %v", d.P90Seconds, z.P90Seconds)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vesta/internal/cloud"
+	"vesta/internal/metrics"
 	"vesta/internal/sim"
 	"vesta/internal/workload"
 )
@@ -21,7 +22,7 @@ func profileFor(t *testing.T, app, vm string) sim.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.New(sim.Config{Repeats: 3}).ProfileRun(a, v, 1)
+	return sim.New(sim.Config{Repeats: 3}).Measure(a, v, 1, sim.Want{Features: metrics.AllFeatures, Trace: true})
 }
 
 func TestOpenFresh(t *testing.T) {

@@ -21,7 +21,7 @@ func sampleTrace(t *testing.T, appName string) *metrics.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.New(sim.Config{Repeats: 2}).ProfileRun(a, vm, 1).Trace
+	return sim.New(sim.Config{Repeats: 2}).Measure(a, vm, 1, sim.Want{Trace: true}).Trace
 }
 
 func TestSparklineBasics(t *testing.T) {
